@@ -118,7 +118,6 @@ let emit_json () =
   output_string oc "{\n";
   let fields =
     [
-      ("pr", "9");
       ("scale", Printf.sprintf "%g" scale);
       ("cores_available", string_of_int (Domain.recommended_domain_count ()));
     ]
@@ -422,7 +421,9 @@ let bench_engine_events () =
    exclude engine construction and warm the event queue first, so the
    steady-state loop is the only thing under the meter; the numbers are
    reported through the registry's own section mechanism, which is also
-   how the per-event-type counters come out.
+   how the per-event-type counters come out.  Disabled means the sink's
+   one record gate is off; attaching the registry opens it, and the
+   engine then counts every event.
 
    The disabled-probe check emits a distinct "PERF WARNING (obs-disabled)"
    marker that CI greps for and turns into a hard failure. *)
@@ -529,14 +530,15 @@ let bench_obs () =
 
 (* OBS2: the PR-9 flight-recorder guard.  The recorder is meant to stay
    attached in every run — the black box — so its enabled cost is the
-   claim under test: with a recorder attached and [rec_steps] on (one
-   record per fired engine event, the worst case; real runs only record
-   protocol-level events), throughput must stay within 5% of the
-   recorder-off pass from the same process, at 0.0 bytes/event.  The
-   workload and measurement discipline are OBS1's exactly; [n] is large
-   enough that the ring wraps dozens of times, so the steady-state wrap
-   path is what gets measured.  CI greps for the "PERF WARNING
-   (recorder)" marker and turns it into a hard failure. *)
+   claim under test: with a recorder attached and the sink's [steps]
+   flag on (one record per fired engine event through [Sink.emit], the
+   worst case; real runs only record protocol-level events), throughput
+   must stay within 5% of the recorder-off pass from the same process,
+   at 0.0 bytes/event.  The workload and measurement discipline are
+   OBS1's exactly; [n] is large enough that the ring wraps dozens of
+   times, so the steady-state wrap path is what gets measured.  CI
+   greps for the "PERF WARNING (recorder)" marker and turns it into a
+   hard failure. *)
 let bench_obs_recorder () =
   section "OBS2: flight-recorder overhead — enabled vs off, wrap path";
   let n = scaled 2_000_000 in
@@ -578,7 +580,7 @@ let bench_obs_recorder () =
       let recorder = Obs.Recorder.create () in
       let sink = Obs.Sink.create () in
       Obs.Sink.set_recorder sink (Some recorder);
-      Obs.Sink.set_rec_steps sink true;
+      Obs.Sink.set_steps sink true;
       let dt_on, words_on = best5 (Some sink) in
       let per_sec_off = float_of_int n /. dt_off in
       let per_sec_on = float_of_int n /. dt_on in

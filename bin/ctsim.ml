@@ -58,6 +58,13 @@ let print_attrib_opt = function
   | Some a -> Format.fprintf ppf "@.wall-time attribution:@.%a@." Obs.Attrib.pp a
   | None -> ()
 
+(* The flight-recorder window is the one trace source: [--trace] writes
+   it as Chrome JSON, CCS rounds and rpc invocations as spans. *)
+let write_trace ?process_name recorder file =
+  let trace = Obs.Recorder.to_trace recorder in
+  Obs.Trace.write_chrome_file ?process_name trace file;
+  trace
+
 (* The always-on black box: every run of these subcommands carries a
    flight recorder and health monitor (the OBS2-benched cost), and the
    window hits disk when the operator asked for it or when the monitor
@@ -77,7 +84,7 @@ let flush_flight ~prefix recorder health =
       let prefix = Option.value prefix ~default:"incident" in
       let txt = prefix ^ ".flight.txt" and json = prefix ^ ".flight.json" in
       Obs.Postmortem.dump_file recorder incidents txt;
-      Obs.Trace.write_chrome_file (Obs.Recorder.to_trace recorder) json;
+      ignore (write_trace recorder json : Obs.Trace.t);
       Format.fprintf ppf
         "wrote %s and %s: flight window, %d record(s) held of %d emitted \
          (diagnose with `ctsim postmortem %s`)@."
@@ -238,32 +245,37 @@ let causal_cmd =
 let run_cmd =
   let trace_file =
     let doc =
-      "Write the run's span trace to $(docv) in Chrome trace-event JSON \
-       (load it in Perfetto or chrome://tracing; ts is simulated \
-       microseconds, one process row per node, one thread row per \
-       subsystem)."
+      "Write the run's flight-recorder window to $(docv) in Chrome \
+       trace-event JSON (load it in Perfetto or chrome://tracing; ts is \
+       simulated microseconds, one process row per node, one thread row \
+       per subsystem, CCS rounds and rpc invocations as spans)."
     in
     Arg.(value & opt string "trace.json" & info [ "trace"; "o" ] ~docv:"FILE" ~doc)
   in
   let steps =
     let doc =
-      "Record one instant event per engine callback too (per-step \
-       engine rows; traces get very large)."
+      "Record one record per engine callback too (per-step engine rows; \
+       the window fills very fast)."
     in
     Arg.(value & flag & info [ "steps" ] ~doc)
   in
   let capacity =
-    let doc = "Trace buffer capacity in events; the excess is counted, not kept." in
-    Arg.(value & opt int 1_000_000 & info [ "trace-capacity" ] ~docv:"N" ~doc)
+    let doc =
+      "Flight-recorder window in records; older records are overwritten \
+       and counted."
+    in
+    Arg.(
+      value
+      & opt int Obs.Recorder.default_capacity
+      & info [ "trace-capacity" ] ~docv:"N" ~doc)
   in
   let run seed replicas rounds trace_file metrics_file steps capacity attrib
       dump =
-    let trace = Obs.Trace.create ~capacity () in
     let metrics = Obs.Metrics.create () in
     let sink = Obs.Sink.create () in
-    Obs.Sink.attach sink ~trace ~metrics;
-    Obs.Sink.set_trace_steps sink steps;
-    let recorder = Obs.Recorder.create () in
+    Obs.Sink.attach sink ~metrics;
+    Obs.Sink.set_steps sink steps;
+    let recorder = Obs.Recorder.create ~capacity () in
     let health = Obs.Health.create () in
     Obs.Sink.set_recorder sink (Some recorder);
     Obs.Sink.set_health sink (Some health);
@@ -277,20 +289,16 @@ let run_cmd =
       if pid = 0 then "client (node 0)"
       else Printf.sprintf "replica %d (node %d)" (pid - 1) pid
     in
-    Obs.Trace.write_chrome_file ~process_name trace trace_file;
-    let subs =
-      String.concat ", "
-        (List.map Obs.Subsystem.name (Obs.Trace.subsystems trace))
-    in
+    let trace = write_trace ~process_name recorder trace_file in
+    let subs = Obs.Trace.subsystems trace in
     Format.fprintf ppf "wrote %s: %d event(s) across %d subsystem(s): %s@."
-      trace_file (Obs.Trace.length trace)
-      (List.length (Obs.Trace.subsystems trace))
-      subs;
-    if Obs.Trace.dropped trace > 0 then
+      trace_file (Obs.Trace.length trace) (List.length subs)
+      (String.concat ", " (List.map Obs.Subsystem.name subs));
+    if Obs.Recorder.dropped recorder > 0 then
       Format.fprintf ppf
-        "warning: %d event(s) dropped at capacity %d (raise \
+        "warning: %d record(s) overwritten at capacity %d (raise \
          --trace-capacity)@."
-        (Obs.Trace.dropped trace) capacity;
+        (Obs.Recorder.dropped recorder) capacity;
     let c k = Obs.Metrics.get metrics k in
     Format.fprintf ppf
       "ccs: %d round(s), %d win(s), %d suppressed, %d discard(s)@."
@@ -310,10 +318,10 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Run the clock-sequence experiment with the observability sink \
-          attached and dump a Perfetto-loadable trace plus a metrics \
-          snapshot; the flight recorder and health monitor ride along \
-          (see --dump-on-exit)")
+         "Run the clock-sequence experiment with the flight recorder, \
+          health monitor and metrics registry attached and dump the \
+          recorder window as a Perfetto-loadable trace plus a metrics \
+          snapshot (see also --dump-on-exit)")
     Term.(
       const run $ seed $ replicas $ rounds_arg 200 $ trace_file
       $ metrics_file $ steps $ capacity $ attrib_flag $ dump_on_exit)
@@ -383,16 +391,16 @@ let explore_cmd =
   in
   let trace_out =
     let doc =
-      "On a violation, replay the shrunk counterexample with the \
-       observability sink attached and write its full span trace to \
-       $(docv) (Chrome trace-event JSON, next to the packet log)."
+      "On a violation, write the shrunk counterexample's flight-recorder \
+       window to $(docv) as Chrome trace-event JSON."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let metrics_out =
     let doc =
       "On a violation, write the metrics snapshot of the shrunk \
-       counterexample's replay as JSON to $(docv)."
+       counterexample's replay (the one that filled its flight window) \
+       as JSON to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
@@ -467,18 +475,16 @@ let explore_cmd =
     (match (report.Mc.Explore.violations, trace_out, metrics_out) with
     | v :: _, trace_out, metrics_out
       when trace_out <> None || metrics_out <> None ->
-        let trace, metrics = Mc.Explore.trace_violation ~quantum_us cfg v in
         (match trace_out with
         | Some file ->
             (* In the model-check harness every node runs a replica. *)
             let process_name pid = Printf.sprintf "replica %d" pid in
-            Obs.Trace.write_chrome_file ~process_name trace file;
+            let trace = write_trace ~process_name v.Mc.Explore.window file in
             Format.fprintf ppf
-              "wrote %s: span trace of the minimal counterexample (%d \
-               event(s))@."
+              "wrote %s: trace of the minimal counterexample (%d event(s))@."
               file (Obs.Trace.length trace)
         | None -> ());
-        write_metrics_opt metrics metrics_out
+        write_metrics_opt v.Mc.Explore.metrics metrics_out
     | [], Some _, _ | [], _, Some _ ->
         Format.fprintf ppf "no violation, no counterexample trace written@."
     | _ -> ());
@@ -532,15 +538,10 @@ let hier_cmd =
       }
     in
     let sink = Obs.Sink.create () in
-    let trace =
-      match trace_file with
-      | Some _ -> Some (Obs.Trace.create ())
-      | None -> None
-    in
     let metrics =
       match metrics_file with Some _ -> Some (Obs.Metrics.create ()) | None -> None
     in
-    Obs.Sink.attach sink ?trace ?metrics;
+    Obs.Sink.attach sink ?metrics;
     let recorder = Obs.Recorder.create () in
     (* Generations are per shard ring, so the membership check would
        compare unrelated rings — off in hier runs. *)
@@ -602,15 +603,15 @@ let hier_cmd =
       "engine: %d events executed, event-queue high water %d@."
       (Dsim.Engine.steps t.CH.eng)
       (CH.queue_hwm t);
-    (match (trace, trace_file) with
-    | Some tr, Some file ->
+    (match trace_file with
+    | Some file ->
         let process_name pid =
           Printf.sprintf "replica %d (shard %d)" pid
             (Hier.Topology.shard_of topo (Netsim.Node_id.of_int pid))
         in
-        Obs.Trace.write_chrome_file ~process_name tr file;
-        Format.fprintf ppf "wrote %s: %d event(s)@." file (Obs.Trace.length tr)
-    | _ -> ());
+        let trace = write_trace ~process_name recorder file in
+        Format.fprintf ppf "wrote %s: %d event(s)@." file (Obs.Trace.length trace)
+    | None -> ());
     (match metrics with
     | Some m -> write_metrics_opt m metrics_file
     | None -> ());
@@ -619,7 +620,8 @@ let hier_cmd =
   in
   let trace_file =
     let doc =
-      "Write the run's span trace to $(docv) (Chrome trace-event JSON)."
+      "Write the run's flight-recorder window to $(docv) (Chrome \
+       trace-event JSON)."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in

@@ -157,16 +157,8 @@ let find_handler t key =
    suppression site. *)
 let probe_suppress t round =
   let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then begin
-    Obs.Sink.count s Obs.Metrics.Ccs_suppressed;
-    Obs.Sink.instant s
-      ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Netsim.Node_id.to_int (me t))
-      ~sub:Obs.Subsystem.Ccs ~name:"ccs-suppress"
-      ~args:(if round >= 0 then [ ("round", round) ] else [])
-  end;
-  if s.Obs.Sink.rec_on then
-    Obs.Sink.rec_event s ~kind:Obs.Recorder.k_ccs_suppress
+  if s.Obs.Sink.on then
+    Obs.Sink.emit s ~kind:Obs.Recorder.k_ccs_suppress
       ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
       ~node:(Netsim.Node_id.to_int (me t))
       ~a:round ~b:0
@@ -267,24 +259,11 @@ let on_message t (msg : Gcs.Msg.t) =
             (* A message for an already-settled round lost the race (or is
                a duplicate); [recv] discards it — record that. *)
             (let s = Dsim.Engine.obs t.eng in
-             if
-               (s.Obs.Sink.active || s.Obs.Sink.rec_on)
-               && Ccs_handler.round_settled h p.round
-             then begin
-               if s.Obs.Sink.active then begin
-                 Obs.Sink.count s Obs.Metrics.Ccs_discards;
-                 Obs.Sink.instant s
-                   ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-                   ~pid:(Netsim.Node_id.to_int (me t))
-                   ~sub:Obs.Subsystem.Ccs ~name:"ccs-discard"
-                   ~args:[ ("round", p.round) ]
-               end;
-               if s.Obs.Sink.rec_on then
-                 Obs.Sink.rec_event s ~kind:Obs.Recorder.k_ccs_discard
-                   ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
-                   ~node:(Netsim.Node_id.to_int (me t))
-                   ~a:p.round ~b:0
-             end);
+             if s.Obs.Sink.on && Ccs_handler.round_settled h p.round then
+               Obs.Sink.emit s ~kind:Obs.Recorder.k_ccs_discard
+                 ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+                 ~node:(Netsim.Node_id.to_int (me t))
+                 ~a:p.round ~b:0);
             Ccs_handler.recv h p
         | None ->
             let q =
@@ -345,8 +324,8 @@ let record_reading t ~thread value =
      one group-clock sample — the raw pre-truncation value, so §3
      monotonicity is judged on what the service actually agreed. *)
   let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.rec_on then
-    Obs.Sink.rec_event s ~kind:Obs.Recorder.k_gc_sample
+  if s.Obs.Sink.on then
+    Obs.Sink.emit s ~kind:Obs.Recorder.k_gc_sample
       ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
       ~node:(Netsim.Node_id.to_int (me t))
       ~a:(value_ns / 1000) ~b:key
@@ -366,25 +345,14 @@ let clock_read t ~thread ~call =
     | Some _ | None -> local
   in
   let h = handler_for t thread in
-  (* CCS round span: Begin when the round opens (before blocking on the
-     group), End when the winning synchronizer's message settles it.
-     Rounds on one (replica, thread) are strictly sequential, so the
-     spans nest trivially in the per-replica ccs thread row. *)
+  (* CCS round records: open when the round starts (before blocking on
+     the group), settle when the winning synchronizer's message ends it;
+     the Chrome export pairs them into one span.  Rounds on one
+     (replica, thread) are strictly sequential, so the spans nest
+     trivially in the per-replica ccs thread row. *)
   (let s = Dsim.Engine.obs t.eng in
-   if s.Obs.Sink.active then begin
-     Obs.Sink.count s Obs.Metrics.Ccs_rounds;
-     Obs.Sink.span_begin s
-       ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-       ~pid:(Netsim.Node_id.to_int (me t))
-       ~sub:Obs.Subsystem.Ccs ~name:"ccs-round"
-       ~args:
-         [
-           ("round", Ccs_handler.round h + 1);
-           ("thread", Thread_id.to_int thread);
-         ]
-   end;
-   if s.Obs.Sink.rec_on then
-     Obs.Sink.rec_event s ~kind:Obs.Recorder.k_ccs_open
+   if s.Obs.Sink.on then
+     Obs.Sink.emit s ~kind:Obs.Recorder.k_ccs_open
        ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Netsim.Node_id.to_int (me t))
        ~a:(Ccs_handler.round h + 1)
@@ -395,27 +363,8 @@ let clock_read t ~thread ~call =
   if t.cfg.offset_tracking then
     t.offset <- Drift.adjust_offset t.cfg.drift (Time.diff gc pc);
   (let s = Dsim.Engine.obs t.eng in
-   if s.Obs.Sink.active then begin
-     Obs.Sink.count s Obs.Metrics.Ccs_wins;
-     let adj_ns = Span.to_ns t.offset - Span.to_ns old_offset in
-     if t.cfg.offset_tracking then begin
-       Obs.Sink.count s Obs.Metrics.Ccs_offset_updates;
-       Obs.Sink.observe s Obs.Metrics.Ccs_adjustment_us
-         (float_of_int adj_ns /. 1000.)
-     end;
-     Obs.Sink.span_end s
-       ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-       ~pid:(Netsim.Node_id.to_int (me t))
-       ~sub:Obs.Subsystem.Ccs ~name:"ccs-round"
-       ~args:
-         [
-           ("round", winner.Ccs_msg.round);
-           ("adjustment_us", adj_ns / 1000);
-           ("offset_us", Span.to_us t.offset);
-         ]
-   end;
-   if s.Obs.Sink.rec_on then
-     Obs.Sink.rec_event s ~kind:Obs.Recorder.k_ccs_settle
+   if s.Obs.Sink.on then
+     Obs.Sink.emit s ~kind:Obs.Recorder.k_ccs_settle
        ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Netsim.Node_id.to_int (me t))
        ~a:winner.Ccs_msg.round

@@ -25,9 +25,9 @@ val rng : t -> Rng.t
     own stream from it at construction time. *)
 
 val obs : t -> Obs.Sink.t
-(** The engine's observability sink — inactive (and therefore free apart
-    from one load + branch per probe) until a trace or metrics registry
-    is attached with {!Obs.Sink.attach}.  Every instrumented layer reads
+(** The engine's observability sink — off (and therefore free apart
+    from one load + branch per probe) until a recorder, health monitor
+    or metrics registry is attached to it.  Every instrumented layer reads
     the sink through its engine at each probe site rather than caching
     it, so attaching after construction (or after [Mc.Harness] rebuilds a
     marshalled world) takes effect immediately. *)

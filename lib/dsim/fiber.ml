@@ -41,17 +41,8 @@ let with_id id f =
    the sink's load + branch; [eng] was already captured. *)
 let probe_fiber eng ~start id =
   let s = Engine.obs eng in
-  if s.Obs.Sink.active then begin
-    Obs.Sink.count s
-      (if start then Obs.Metrics.Fiber_spawns else Obs.Metrics.Fiber_switches);
-    Obs.Sink.instant s
-      ~ts_ns:(Time.to_ns (Engine.now eng))
-      ~pid:0 ~sub:Obs.Subsystem.Dsim
-      ~name:(if start then "fiber-start" else "fiber-resume")
-      ~args:[ ("fiber", id) ]
-  end;
-  if s.Obs.Sink.rec_on then
-    Obs.Sink.rec_event s
+  if s.Obs.Sink.on then
+    Obs.Sink.emit s
       ~kind:
         (if start then Obs.Recorder.k_fiber_spawn
          else Obs.Recorder.k_fiber_switch)

@@ -52,7 +52,6 @@ type t = {
   mutable round : int; (* highest bridge round seen or opened *)
   mutable offer_round : int; (* round I am currently collecting for *)
   mutable offers : Time.t; (* max-combined offers for [offer_round] *)
-  mutable offers_n : int;
   mutable s_elections : int;
   mutable s_agreed : int;
   mutable s_corrections : int;
@@ -119,31 +118,10 @@ let next_live t =
 (* ------------------------------------------------------------------ *)
 (* Obs probes                                                          *)
 
-let probe_instant t name args =
+let probe t ~kind ~a ~b =
   let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then
-    Obs.Sink.instant s
-      ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Hier ~name ~args
-
-let probe_count t key =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then Obs.Sink.count s key
-
-let probe_span t which name args =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then
-    (match which with
-    | `Begin -> Obs.Sink.span_begin s
-    | `End -> Obs.Sink.span_end s)
-      ~ts_ns:(Time.to_ns (Dsim.Engine.now t.eng))
-      ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Hier ~name ~args
-
-(* Flight-recorder feed, separate gate (all-int, no boxing). *)
-let probe_rec t ~kind ~a ~b =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.rec_on then
-    Obs.Sink.rec_event s ~kind
+  if s.Obs.Sink.on then
+    Obs.Sink.emit s ~kind
       ~ts_us:(Time.to_ns (Dsim.Engine.now t.eng) / 1000)
       ~node:(Nid.to_int t.me) ~a ~b
 
@@ -154,8 +132,7 @@ let apply_agree t ~round ~time =
   if round > t.round then t.round <- round;
   let adopted = Global_clock.observe t.gclock ~round ~time in
   t.s_agreed <- t.s_agreed + 1;
-  probe_count t Obs.Metrics.Hier_rounds;
-  probe_rec t ~kind:Obs.Recorder.k_hier_round ~a:round ~b:0;
+  probe t ~kind:Obs.Recorder.k_hier_round ~a:round ~b:0;
   let local = estimate t in
   if Time.(adopted > local) then begin
     (* Bounded forward correction: raise the shard's causal floor, at
@@ -166,13 +143,7 @@ let apply_agree t ~round ~time =
     let target = Time.min adopted (Time.add local t.cfg.max_correction) in
     Cts.Service.observe_timestamp t.service target;
     t.s_corrections <- t.s_corrections + 1;
-    probe_count t Obs.Metrics.Hier_corrections;
-    probe_instant t "hier-correct"
-      [
-        ("round", round);
-        ("ahead_us", Span.to_us (Time.diff adopted local));
-      ];
-    probe_rec t ~kind:Obs.Recorder.k_hier_correct ~a:round
+    probe t ~kind:Obs.Recorder.k_hier_correct ~a:round
       ~b:(Span.to_us (Time.diff adopted local));
     t.on_correction ()
   end
@@ -187,8 +158,6 @@ let close_round t gen round () =
   then begin
     let time = Time.max t.offers (offer_time t) in
     t.offer_round <- -1;
-    probe_span t `End "hier-round"
-      [ ("round", round); ("offers", t.offers_n) ];
     broadcast t (Bridge_msg.Agree { round; coord_shard = t.my_shard; time });
     apply_agree t ~round ~time
   end
@@ -201,8 +170,6 @@ let open_round t =
   | Star ->
       t.offer_round <- round;
       t.offers <- offer_time t;
-      t.offers_n <- 1;
-      probe_span t `Begin "hier-round" [ ("round", round) ];
       broadcast t (Bridge_msg.Poll { round; coord_shard = t.my_shard });
       let gen = t.gen in
       Dsim.Engine.schedule t.eng t.cfg.offer_timeout (close_round t gen round)
@@ -277,10 +244,7 @@ and on_bridge_inner t ~src msg =
           Netsim.Network.send t.bridge ~src:t.me ~dst:src
             (Bridge_msg.Offer { round; shard = t.my_shard; time = offer_time t })
     | Bridge_msg.Offer { round; time; _ } ->
-        if t.offer_round = round then begin
-          t.offers <- Time.max t.offers time;
-          t.offers_n <- t.offers_n + 1
-        end
+        if t.offer_round = round then t.offers <- Time.max t.offers time
     | Bridge_msg.Agree { round; time; coord_shard } ->
         if legit && coord_shard <> t.my_shard then apply_agree t ~round ~time
     | Bridge_msg.Collect { round; origin_shard; dst_shard; acc; _ } ->
@@ -317,9 +281,7 @@ let activate t =
     t.s_elections <- t.s_elections + 1;
     t.gen <- t.gen + 1;
     Netsim.Network.attach t.bridge t.me (on_bridge t);
-    probe_count t Obs.Metrics.Hier_elections;
-    probe_instant t "hier-elect" [ ("shard", t.my_shard) ];
-    probe_rec t ~kind:Obs.Recorder.k_hier_elect ~a:t.my_shard
+    probe t ~kind:Obs.Recorder.k_hier_elect ~a:t.my_shard
       ~b:(Nid.to_int t.me);
     Log.debug (fun m ->
         m "%a: gateway of shard %d (election %d)" Nid.pp t.me t.my_shard
@@ -381,7 +343,6 @@ let create eng bridge ~topology ~shard ~me ~service ~clock
     round = 0;
     offer_round = -1;
     offers = Time.epoch;
-    offers_n = 0;
     s_elections = 0;
     s_agreed = 0;
     s_corrections = 0;

@@ -7,8 +7,9 @@ type violation = {
   counterexample : Schedule.t;
   original_deviations : int;
   shrink_runs : int;
-  packet_log : string;
   blackbox : string;
+  window : Obs.Recorder.t;
+  metrics : Obs.Metrics.t;
 }
 
 type report = {
@@ -55,11 +56,11 @@ let schedules_per_sec r =
 
 (* Reproduce a violating run deterministically from its applied deviation
    trace, delta-debug the trace down, and re-run the minimal schedule once
-   more with packet recording on.  Pure sequential — the parallel explorer
-   funnels every violation through here, in schedule order, so reports are
-   independent of domain count. *)
+   more with the flight recorder and a metrics registry attached.  Pure
+   sequential — the parallel explorer funnels every violation through
+   here, in schedule order, so reports are independent of domain count. *)
 let build_violation ~quantum cfg ~seed ~first_invariant ~deviations =
-  let cfg = { cfg with Harness.seed; record_packets = false } in
+  let cfg = { cfg with Harness.seed } in
   let fails sched =
     let spec = Controller.replay_spec ~quantum sched in
     let outcome, _ = Harness.run ~spec cfg in
@@ -69,19 +70,22 @@ let build_violation ~quantum cfg ~seed ~first_invariant ~deviations =
     if fails deviations then Shrink.minimize ~fails deviations
     else (deviations, 0)
   in
-  (* The confirming re-run carries the flight recorder and health
-     monitor, so every shrunk counterexample ships its own black box:
-     the dumped window travels in the report and feeds
-     [ctsim postmortem] directly. *)
+  (* The confirming re-run carries the flight recorder, health monitor
+     and a metrics registry, so every shrunk counterexample ships its
+     own black box: the dumped window travels in the report and feeds
+     [ctsim postmortem] directly, and the same window is the
+     counterexample's Chrome trace. *)
   let recorder = Obs.Recorder.create ~capacity:8192 () in
   let health = Obs.Health.create () in
+  let metrics = Obs.Metrics.create () in
   let bb_sink = Obs.Sink.create () in
   Obs.Sink.set_recorder bb_sink (Some recorder);
   Obs.Sink.set_health bb_sink (Some health);
+  Obs.Sink.attach bb_sink ~metrics;
   let final_outcome, _ =
     Harness.run
       ~spec:(Controller.replay_spec ~quantum counterexample)
-      { cfg with Harness.record_packets = true; sink = Some bb_sink }
+      { cfg with Harness.sink = Some bb_sink }
   in
   let invariant, detail =
     match Invariant.check_all final_outcome with
@@ -95,32 +99,10 @@ let build_violation ~quantum cfg ~seed ~first_invariant ~deviations =
     counterexample;
     original_deviations = Schedule.length deviations;
     shrink_runs;
-    packet_log = final_outcome.Invariant.packet_log;
     blackbox = Obs.Postmortem.dump_string recorder (Obs.Health.incidents health);
+    window = recorder;
+    metrics;
   }
-
-(* Replay the minimal counterexample once more with an obs sink adopted:
-   the full span trace of the shrunk schedule, to sit next to its packet
-   log.  Deterministic — the replayed spec pins the schedule, and probes
-   never perturb a run. *)
-let trace_violation ?(quantum_us = 200) ?capacity cfg (v : violation) =
-  let quantum = Span.of_us quantum_us in
-  let trace = Obs.Trace.create ?capacity () in
-  let metrics = Obs.Metrics.create () in
-  let sink = Obs.Sink.create () in
-  Obs.Sink.attach sink ~trace ~metrics;
-  let cfg =
-    {
-      cfg with
-      Harness.seed = v.seed;
-      record_packets = false;
-      sink = Some sink;
-    }
-  in
-  let (_ : Invariant.outcome * Harness.info) =
-    Harness.run ~spec:(Controller.replay_spec ~quantum v.counterexample) cfg
-  in
-  (trace, metrics)
 
 let explore ?(strategy = Strategy.default_random) ?(budget = 500)
     ?(quantum_us = 200) ?(stop_at_first = true) cfg =
@@ -137,13 +119,13 @@ let explore ?(strategy = Strategy.default_random) ?(budget = 500)
   (* One world snapshot amortized over the whole budget; run_reused is
      result-identical to Harness.run.  Shrinking (build_violation) stays
      on fresh construction — it is the cold path. *)
-  let reusable = Harness.reusable { cfg with Harness.record_packets = false } in
+  let reusable = Harness.reusable cfg in
   (try
      while !runs < budget do
        match gen.Strategy.next () with
        | None -> raise Exit
        | Some (seed, spec) ->
-           let cfg = { cfg with Harness.seed; record_packets = false } in
+           let cfg = { cfg with Harness.seed } in
            let outcome, info = Harness.run_reused reusable ~spec cfg in
            incr runs;
            steps_total := !steps_total + info.Harness.steps;
@@ -179,10 +161,6 @@ let pp_violation ppf v =
     v.invariant v.seed v.detail v.original_deviations
     (Schedule.length v.counterexample)
     v.shrink_runs Schedule.pp v.counterexample;
-  if v.packet_log <> "" then
-    Format.fprintf ppf "@,@[<v>packet log (last %d events):@,%s@]"
-      (List.length (String.split_on_char '\n' v.packet_log) - 1)
-      v.packet_log;
   if v.blackbox <> "" then
     Format.fprintf ppf
       "@,flight window: %d line(s) attached (write with --flight, read \

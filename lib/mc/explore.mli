@@ -4,8 +4,9 @@
     {!Invariant} after each schedule.  On a violation the applied
     deviation trace is replayed to confirm determinism, delta-debugged
     down to a minimal counterexample ({!Shrink}), and re-run once more
-    with packet recording on so the report can show the
-    [Netsim.Trace] log alongside the minimal reorder trace.
+    with the flight recorder and a metrics registry attached, so the
+    report carries the failing schedule's records alongside the minimal
+    reorder trace.
 
     This module is the sequential reference; {!Pool} fans the same
     exploration out over worker domains and produces the same report
@@ -19,11 +20,13 @@ type violation = {
   counterexample : Schedule.t;  (** minimal failing deviation trace *)
   original_deviations : int;  (** trace length before shrinking *)
   shrink_runs : int;  (** simulator re-runs spent shrinking *)
-  packet_log : string;  (** packet trace of the minimal replay *)
   blackbox : string;
       (** flight-recorder window of the minimal replay, in
           {!Obs.Postmortem} dump format — every shrunk counterexample
           ships its own black box *)
+  window : Obs.Recorder.t;
+      (** the same window, for {!Obs.Recorder.to_trace} *)
+  metrics : Obs.Metrics.t;  (** the minimal replay's metrics registry *)
 }
 
 type report = {
@@ -70,19 +73,6 @@ val build_violation :
     with {!Pool}, which performs discovery in parallel but always shrinks
     on the calling domain, in schedule order, so its reports do not
     depend on domain count. *)
-
-val trace_violation :
-  ?quantum_us:int ->
-  ?capacity:int ->
-  Harness.config ->
-  violation ->
-  Obs.Trace.t * Obs.Metrics.t
-(** Replay the violation's minimal counterexample once more with an
-    observability sink adopted by the replayed world, returning the full
-    span trace and metrics of the failing schedule — the cross-layer
-    companion to its [packet_log].  [quantum_us] must match the value
-    the violation was explored with (default 200).  Probes never perturb
-    a run, so the replay still reproduces the violation. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

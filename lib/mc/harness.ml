@@ -15,7 +15,6 @@ type config = {
   skew_clocks : bool;
   crash_at_round : int option;
   bug : bug option;
-  record_packets : bool;
   sink : Obs.Sink.t option;
 }
 
@@ -31,7 +30,6 @@ let default =
     skew_clocks = true;
     crash_at_round = None;
     bug = None;
-    record_packets = false;
     sink = None;
   }
 
@@ -114,16 +112,8 @@ let measure ((cluster, services) : world) ~spec cfg =
   (* Adopt an external obs sink on this world's engine (worlds rebuilt or
      unmarshalled by the reuse path get a fresh engine each time, so the
      sink must be re-adopted per measurement).  Exploration leaves this
-     [None]; it is used to dump the span trace of a counterexample. *)
+     [None]; a counterexample's replay carries its black box here. *)
   (match cfg.sink with Some s -> Dsim.Engine.set_obs eng s | None -> ());
-  let tracer =
-    if cfg.record_packets then begin
-      let tr = Netsim.Trace.create ~capacity:256 () in
-      Netsim.Network.attach_trace net tr;
-      Some tr
-    end
-    else None
-  in
   (* Per-replica think-time streams, split in a fixed order before the
      controller is installed: a replica's stream does not depend on the
      schedule, so a replayed run draws identical delays. *)
@@ -196,13 +186,6 @@ let measure ((cluster, services) : world) ~spec cfg =
   Cluster.run_until ~limit:(Span.of_sec 600) cluster (fun () ->
       !finished = cfg.replicas);
   Controller.uninstall ctrl net;
-  let packet_log =
-    match tracer with
-    | Some tr ->
-        Netsim.Network.detach_trace net;
-        Format.asprintf "%a" (Netsim.Trace.pp Totem.Wire.pp) tr
-    | None -> ""
-  in
   let observations = Array.map List.rev obs in
   let outcome =
     {
@@ -211,7 +194,6 @@ let measure ((cluster, services) : world) ~spec cfg =
       observations;
       stats = Array.map Cts.Service.stats services;
       crashed = !crashed;
-      packet_log;
     }
   in
   let info =
@@ -319,7 +301,6 @@ let probe_cfg cfg =
     rounds = 2;
     crash_at_round = None;
     bug = None;
-    record_packets = false;
     sink = None;
   }
 

@@ -30,15 +30,14 @@ type config = {
       (** crash the last replica when it completes this round (failover
           perturbation) *)
   bug : bug option;
-  record_packets : bool;
-      (** record and render the packet trace into the outcome *)
   sink : Obs.Sink.t option;
       (** observability sink adopted by the world's engine for the
           measurement (re-adopted after every rebuild/unmarshal, so it
-          works with the reuse path too).  [None] for exploration; used
-          by {!Explore.trace_violation} to capture the span trace of a
-          counterexample.  Attaching a sink never perturbs the run: the
-          probes only read simulation state. *)
+          works with the reuse path too).  [None] for exploration; the
+          replay of a shrunk counterexample carries its flight recorder
+          and metrics here (see {!Explore.build_violation}).  Attaching a
+          sink never perturbs the run: the probes only read simulation
+          state. *)
 }
 
 val default : config

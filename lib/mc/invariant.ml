@@ -15,7 +15,6 @@ type outcome = {
   observations : observation list array;
   stats : Cts.Service.stats array;
   crashed : int option;
-  packet_log : string;
 }
 
 type t = {

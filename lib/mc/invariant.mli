@@ -29,7 +29,6 @@ type outcome = {
       (** per replica, in completion order *)
   stats : Cts.Service.stats array;
   crashed : int option;  (** replica crashed mid-run, if any *)
-  packet_log : string;  (** rendered {!Netsim.Trace}, possibly empty *)
 }
 
 type t = {

@@ -11,7 +11,7 @@ type run_result = {
 }
 
 let exec ~reusable cfg (seed, spec) =
-  let rcfg = { cfg with Harness.seed = seed; record_packets = false } in
+  let rcfg = { cfg with Harness.seed = seed } in
   let outcome, info = Harness.run_reused reusable ~spec rcfg in
   let violated =
     match Invariant.check_all outcome with
@@ -37,7 +37,7 @@ let take_reusable cfg =
       r
   | [] ->
       Mutex.unlock reusables_m;
-      Harness.reusable { cfg with Harness.record_packets = false }
+      Harness.reusable cfg
 
 let give_reusable r =
   Mutex.lock reusables_m;

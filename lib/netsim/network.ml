@@ -67,7 +67,6 @@ and 'a t = {
          FIFO ordering like a switched LAN.  Rows are created lazily per
          src and sized to the port table. *)
   mutable dropped : int;
-  mutable tracer : 'a Trace.t option;
   mutable delay_hook : (src:Node_id.t -> dst:Node_id.t -> Dsim.Time.Span.t) option;
   nil_d : 'a dcell;
   mutable free_d : 'a dcell;
@@ -122,7 +121,6 @@ let create eng cfg =
     delivered = [||];
     last_delivery = [||];
     dropped = 0;
-    tracer = None;
     delay_hook = None;
     nil_d;
     free_d = nil_d;
@@ -196,18 +194,6 @@ let detach t id =
 let attached t id = port_of t id <> None
 let nodes t = List.init t.n_members (fun i -> t.members.(i))
 
-(* Call sites guard with [tracing] so the trace event (a boxed record per
-   packet) is never even constructed when neither the legacy [Trace.t]
-   tracer nor the engine's obs sink is active — the single-check gating
-   discipline the whole stack now follows. *)
-let tracing t =
-  ((t.tracer != None)
-  [@ctslint.allow
-    "phys-equality"
-      "None is immediate, so != is <> without the polymorphic-compare \
-       call; this gate runs once per packet"])
-  || (Dsim.Engine.obs t.eng).Obs.Sink.active
-
 (* Wall-time attribution sites (see [Obs.Attrib]): self time of packet
    delivery, including the receive handler unless that handler is itself
    an attributed region (then nesting subtracts it). *)
@@ -219,82 +205,38 @@ let at_deliver_batch =
 let at_bcast_many =
   Obs.Attrib.site ~sub:Obs.Subsystem.Netsim ~name:"broadcast-many"
 
-let reason_code = function
-  | Trace.Loss -> 0
-  | Trace.Partitioned -> 1
-  | Trace.No_port -> 2
+(* Drop reasons carried in a [k_drop] record's [b] payload. *)
+let loss = 0
+let partitioned = 1
+let no_port = 2
 
-(* Flight-recorder emission is separate from [trace_event]: the trace
-   path boxes a [Trace.event] per packet (acceptable because [tracing]
-   gates it), but the recorder must stay attached in runs where that
-   boxing is unaffordable.  All-int helper, gate inside — a disabled
-   call is the sink load plus one branch. *)
-let rec_net t ~kind ~node ~a ~b =
+(* The one packet probe: gate inside, all ints, so a disabled call is
+   the sink load plus one branch and an enabled one boxes nothing. *)
+let probe t ~kind ~node ~a ~b =
   let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.rec_on then
-    Obs.Sink.rec_event s ~kind
+  if s.Obs.Sink.on then
+    Obs.Sink.emit s ~kind
       ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
       ~node ~a ~b
 [@@inline] [@@ctslint.hotpath]
 
-let rec_sent t ~src ~dst =
-  rec_net t ~kind:Obs.Recorder.k_send ~node:(Node_id.to_int src) ~a:dst ~b:0
+(* [dst] is [-1] for a broadcast. *)
+let probe_sent t ~src ~dst =
+  probe t ~kind:Obs.Recorder.k_send ~node:(Node_id.to_int src) ~a:dst ~b:0
 [@@inline] [@@ctslint.hotpath]
 
-let rec_delivered t ~src ~dst ~pos =
-  rec_net t ~kind:Obs.Recorder.k_deliver ~node:(Node_id.to_int dst)
+(* [pos] tags a batched delivery with its position inside the batch (-1
+   = unbatched), so every message a batch absorbs gets a record of its
+   own and per-message accounting stays exact. *)
+let probe_delivered t ~src ~dst ~pos =
+  probe t ~kind:Obs.Recorder.k_deliver ~node:(Node_id.to_int dst)
     ~a:(Node_id.to_int src) ~b:pos
 [@@inline] [@@ctslint.hotpath]
 
-let rec_dropped t ~src ~dst ~reason =
-  rec_net t ~kind:Obs.Recorder.k_drop ~node:(Node_id.to_int dst)
+let probe_dropped t ~src ~dst ~reason =
+  probe t ~kind:Obs.Recorder.k_drop ~node:(Node_id.to_int dst)
     ~a:(Node_id.to_int src) ~b:reason
 [@@inline] [@@ctslint.hotpath]
-
-(* Unified emission: the bounded packet trace keeps its historical format
-   (tests and [Mc.Explore.packet_log] read it unchanged) while the same
-   event also reaches the obs sink as netsim instants + counters.  [pos]
-   tags a batched delivery with its position inside the batch (-1 =
-   unbatched), so every message a batch absorbs still gets one record of
-   its own — per-message drop accounting stays exact. *)
-let trace_event ?(pos = -1) t ev =
-  (match t.tracer with
-  | Some tr -> Trace.record tr ~at:(Dsim.Engine.now t.eng) ev
-  | None -> ());
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then begin
-    let ts_ns = Dsim.Time.to_ns (Dsim.Engine.now t.eng) in
-    match ev with
-    | Trace.Sent { src; dst; _ } ->
-        Obs.Sink.count s Obs.Metrics.Net_sent;
-        Obs.Sink.instant s ~ts_ns ~pid:(Node_id.to_int src)
-          ~sub:Obs.Subsystem.Netsim ~name:"send"
-          ~args:
-            (match dst with
-            | Some d -> [ ("dst", Node_id.to_int d) ]
-            | None -> [])
-    | Trace.Delivered { src; dst; _ } ->
-        Obs.Sink.count s Obs.Metrics.Net_delivered;
-        let args =
-          if pos >= 0 then [ ("src", Node_id.to_int src); ("batch_pos", pos) ]
-          else [ ("src", Node_id.to_int src) ]
-        in
-        Obs.Sink.instant s ~ts_ns ~pid:(Node_id.to_int dst)
-          ~sub:Obs.Subsystem.Netsim ~name:"deliver" ~args
-    | Trace.Dropped { src; dst; reason; _ } ->
-        Obs.Sink.count s Obs.Metrics.Net_dropped;
-        let args =
-          if pos >= 0 then
-            [
-              ("src", Node_id.to_int src);
-              ("reason", reason_code reason);
-              ("batch_pos", pos);
-            ]
-          else [ ("src", Node_id.to_int src); ("reason", reason_code reason) ]
-        in
-        Obs.Sink.instant s ~ts_ns ~pid:(Node_id.to_int dst)
-          ~sub:Obs.Subsystem.Netsim ~name:"drop" ~args
-  end
 
 let bump_sent t id =
   ensure_node t id;
@@ -388,13 +330,10 @@ let dcell_fire (c : 'a dcell) =
   (match port_of t dst with
   | None ->
       t.dropped <- t.dropped + 1;
-      rec_dropped t ~src ~dst ~reason:2;
-      if tracing t then
-        trace_event t (Trace.Dropped { src; dst; payload; reason = Trace.No_port })
+      probe_dropped t ~src ~dst ~reason:no_port
   | Some port ->
       bump_delivered t dst;
-      rec_delivered t ~src ~dst ~pos:(-1);
-      if tracing t then trace_event t (Trace.Delivered { src; dst; payload });
+      probe_delivered t ~src ~dst ~pos:(-1);
       port.handler ~src payload);
   Obs.Sink.attr_leave s
 
@@ -402,10 +341,7 @@ let deliver_extra t ~extra ~src ~dst payload =
   if reachable t ~src ~dst then
     if t.cfg.loss > 0. && Dsim.Rng.float t.rng 1.0 < t.cfg.loss then begin
       t.dropped <- t.dropped + 1;
-      rec_dropped t ~src ~dst ~reason:0;
-      if tracing t then
-        trace_event t
-          (Trace.Dropped { src; dst; payload; reason = Trace.Loss });
+      probe_dropped t ~src ~dst ~reason:loss;
       false
     end
     else begin
@@ -433,10 +369,7 @@ let deliver_extra t ~extra ~src ~dst payload =
     end
   else begin
     t.dropped <- t.dropped + 1;
-    rec_dropped t ~src ~dst ~reason:1;
-    if tracing t then
-      trace_event t
-        (Trace.Dropped { src; dst; payload; reason = Trace.Partitioned });
+    probe_dropped t ~src ~dst ~reason:partitioned;
     false
   end
 
@@ -445,14 +378,12 @@ let deliver t ~src ~dst payload =
 
 let send_tracked t ~src ~dst payload =
   bump_sent t src;
-  rec_sent t ~src ~dst:(Node_id.to_int dst);
-  if tracing t then trace_event t (Trace.Sent { src; dst = Some dst; payload });
+  probe_sent t ~src ~dst:(Node_id.to_int dst);
   deliver t ~src ~dst payload
 
 let send_tracked_after t ~delay ~src ~dst payload =
   bump_sent t src;
-  rec_sent t ~src ~dst:(Node_id.to_int dst);
-  if tracing t then trace_event t (Trace.Sent { src; dst = Some dst; payload });
+  probe_sent t ~src ~dst:(Node_id.to_int dst);
   deliver_extra t ~extra:delay ~src ~dst payload
 
 let send t ~src ~dst payload =
@@ -460,8 +391,7 @@ let send t ~src ~dst payload =
 
 let broadcast t ~src payload =
   bump_sent t src;
-  rec_sent t ~src ~dst:(-1);
-  if tracing t then trace_event t (Trace.Sent { src; dst = None; payload });
+  probe_sent t ~src ~dst:(-1);
   for i = 0 to t.n_members - 1 do
     let dst = Array.unsafe_get t.members i in
     if not (Node_id.equal dst src) then
@@ -528,15 +458,10 @@ let bcell_fire (b : 'a bcell) =
     match port_of t dst with
     | None ->
         t.dropped <- t.dropped + 1;
-        rec_dropped t ~src ~dst ~reason:2;
-        if tracing t then
-          trace_event ~pos:i t
-            (Trace.Dropped { src; dst; payload; reason = Trace.No_port })
+        probe_dropped t ~src ~dst ~reason:no_port
     | Some port ->
         bump_delivered t dst;
-        rec_delivered t ~src ~dst ~pos:i;
-        if tracing t then
-          trace_event ~pos:i t (Trace.Delivered { src; dst; payload });
+        probe_delivered t ~src ~dst ~pos:i;
         port.handler ~src payload
   done;
   for i = 0 to n - 1 do
@@ -554,11 +479,9 @@ let broadcast_many t ~src payloads ~n =
   else if n > 0 then begin
     let s = Dsim.Engine.obs t.eng in
     Obs.Sink.attr_enter s at_bcast_many;
-    for i = 0 to n - 1 do
+    for _ = 0 to n - 1 do
       bump_sent t src;
-      rec_sent t ~src ~dst:(-1);
-      if tracing t then
-        trace_event t (Trace.Sent { src; dst = None; payload = payloads.(i) })
+      probe_sent t ~src ~dst:(-1)
     done;
     let now_ns = Dsim.Time.to_ns (Dsim.Engine.now t.eng) in
     let paths = paths_from t src in
@@ -579,10 +502,7 @@ let broadcast_many t ~src payloads ~n =
               if t.cfg.loss > 0. && Dsim.Rng.float t.rng 1.0 < t.cfg.loss
               then begin
                 t.dropped <- t.dropped + 1;
-                rec_dropped t ~src ~dst ~reason:0;
-                if tracing t then
-                  trace_event t
-                    (Trace.Dropped { src; dst; payload; reason = Trace.Loss })
+                probe_dropped t ~src ~dst ~reason:loss
               end
               else begin
                 let lat = Latency.sample t.rng t.cfg.latency in
@@ -616,13 +536,9 @@ let broadcast_many t ~src payloads ~n =
             if !clock >= 0 then path_set paths dst !clock
           end
           else begin
-            for i = 0 to n - 1 do
+            for _ = 0 to n - 1 do
               t.dropped <- t.dropped + 1;
-              if tracing t then
-                trace_event t
-                  (Trace.Dropped
-                     { src; dst; payload = payloads.(i);
-                       reason = Trace.Partitioned })
+              probe_dropped t ~src ~dst ~reason:partitioned
             done
           end
         end)
@@ -677,6 +593,4 @@ let stats t ~sent id =
   if i < Array.length a then a.(i) else 0
 
 let packets_dropped t = t.dropped
-let attach_trace t tr = t.tracer <- Some tr
-let detach_trace t = t.tracer <- None
 let set_delay_hook t hook = t.delay_hook <- hook

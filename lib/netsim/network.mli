@@ -72,10 +72,10 @@ val broadcast_many : 'a t -> src:Node_id.t -> 'a array -> n:int -> unit
     event instead of one event per message.  Per-message semantics are
     preserved — send order per path (FIFO), an independent loss and
     latency draw per (message, receiver) pair, and per-message stats,
-    drop accounting and trace records: every message a batch absorbs
-    emits one record of its own (tagged with its batch position in the
-    obs stream), including exact [No_port] drops for the remainder of a
-    batch when a handler detaches the destination mid-drain.  The one
+    drop accounting and obs records: every message a batch absorbs
+    emits one record of its own (a delivery carries its batch position
+    as payload [b]), including exact [No_port] drops for the remainder
+    of a batch when a handler detaches the destination mid-drain.  The one
     batching artefact is the timestamp: absorbed messages share the
     batch's delivery instant instead of being spread by the 1 ns FIFO
     tie-break.  [payloads] is read before returning and may be reused by
@@ -96,19 +96,6 @@ val stats : 'a t -> sent:bool -> Node_id.t -> int
 (** [stats net ~sent n]: packets sent by (resp. delivered to) node [n]. *)
 
 val packets_dropped : 'a t -> int
-
-val attach_trace : 'a t -> 'a Trace.t -> unit
-(** Start recording every send, delivery and drop into the trace (at most
-    one trace at a time; replaces any previous one).
-
-    This is a compatibility shim over the unified observability path:
-    the same events (minus payloads) also flow to the engine's obs sink
-    ({!Dsim.Engine.obs}) as [netsim] instants and [net_*] counters
-    whenever that sink is active, with or without a [Trace.t]
-    attached.  Existing consumers — tests, [Mc.Explore.packet_log] —
-    keep the typed payload-carrying trace unchanged. *)
-
-val detach_trace : 'a t -> unit
 
 val set_delay_hook :
   'a t -> (src:Node_id.t -> dst:Node_id.t -> Dsim.Time.Span.t) option -> unit

@@ -131,6 +131,39 @@ let add t k n =
 
 let get t k = t.counters.(key_index k)
 let observe t hk v = Stats.Histogram.add t.hists.(hkey_index hk) v
+
+(* Each record kind's counter or histogram sample.  Kinds are matched
+   as {!Recorder}'s literal numbers (named alongside), so the match is a
+   jump table. *)
+let record t ~kind ~b =
+  match kind with
+  | 0 (* step *) -> incr t Engine_events
+  | 1 (* fiber-spawn *) -> incr t Fiber_spawns
+  | 2 (* fiber-switch *) -> incr t Fiber_switches
+  | 3 (* send *) -> incr t Net_sent
+  | 4 (* deliver *) -> incr t Net_delivered
+  | 5 (* drop *) -> incr t Net_dropped
+  | 6 (* token *) -> incr t Totem_tokens
+  | 8 (* operational *) -> incr t Totem_views
+  | 9 (* view *) -> incr t Gcs_views
+  | 10 (* ccs-open *) -> incr t Ccs_rounds
+  | 11 (* ccs-settle *) ->
+      incr t Ccs_wins;
+      incr t Ccs_offset_updates;
+      Stats.Histogram.add_int t.hists.(hkey_index Ccs_adjustment_us) b
+  | 12 (* ccs-suppress *) -> incr t Ccs_suppressed
+  | 13 (* ccs-discard *) -> incr t Ccs_discards
+  | 15 (* hier-round *) -> incr t Hier_rounds
+  | 16 (* hier-correct *) -> incr t Hier_corrections
+  | 17 (* hier-elect *) -> incr t Hier_elections
+  | 18 (* rpc-call *) -> incr t Rpc_calls
+  | 19 (* rpc-return *) ->
+      Stats.Histogram.add_int t.hists.(hkey_index Rpc_latency_us) b
+  | 20 (* rpc-timeout *) -> incr t Rpc_timeouts
+  | 21 (* repl-request *) -> incr t Repl_requests
+  | 22 (* repl-checkpoint *) -> incr t Repl_checkpoints
+  | _ -> ()
+
 let hist t hk = t.hists.(hkey_index hk)
 
 let gauge t name =

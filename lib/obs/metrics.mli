@@ -44,6 +44,14 @@ val incr : t -> key -> unit
 val add : t -> key -> int -> unit
 val get : t -> key -> int
 
+val record : t -> kind:int -> b:int -> unit
+(** Account one {!Recorder} record: bump the counter its kind maps to
+    (a step counts [Engine_events], a send [Net_sent], a CCS open
+    [Ccs_rounds], ...).  A CCS settle also counts [Ccs_offset_updates]
+    and adds its [b] (the adjustment, µs) to [Ccs_adjustment_us]; an rpc
+    return adds its [b] (the latency, µs) to [Rpc_latency_us].
+    Allocation-free once the histograms' bins cover the samples. *)
+
 val observe : t -> hkey -> float -> unit
 val hist : t -> hkey -> Stats.Histogram.t
 

@@ -127,23 +127,6 @@ let load_file path =
   | exception Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Chrome export of a loaded window                                    *)
-
-let to_trace w =
-  let tr = Trace.create ~capacity:(Array.length w.records + 16) () in
-  Array.iter
-    (fun r ->
-      let an, bn = Recorder.arg_names r.kind in
-      let args = if bn = "" then [ (an, r.a) ] else [ (an, r.a); (bn, r.b) ] in
-      let args = if an = "" then [] else args in
-      Trace.instant tr ~ts_ns:(r.ts_us * 1000) ~pid:r.node
-        ~sub:(Recorder.kind_sub r.kind) ~name:(Recorder.kind_name r.kind) ~args)
-    w.records;
-  tr
-
-let write_chrome_file w path = Trace.write_chrome_file (to_trace w) path
-
-(* ------------------------------------------------------------------ *)
 (* Lineage: match deliveries / drops back to sends                     *)
 
 (* Sends carry dst in [a] (-1 for broadcast); deliveries and drops run

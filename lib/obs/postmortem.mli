@@ -4,9 +4,8 @@
     ["# ctsim flight recorder v1"], one [R kind ts_us node a b] line per
     record, one [I inv first last count worst node] line per health
     incident) designed to travel inside a bug report; {!load_string}
-    round-trips it, {!write_chrome_file} re-exports it through the
-    {!Trace} Chrome exporter for Perfetto, and {!report} prints a
-    human-readable causal timeline: records decoded via
+    round-trips it, and {!report} prints a human-readable causal
+    timeline: records decoded via
     {!Recorder.kind_name}/{!Recorder.arg_names}, deliveries and drops
     matched back to their send using the network's per-(src, dst) FIFO
     contract, and each incident reduced to a one-line {e suspect} —
@@ -29,11 +28,6 @@ val dump_string : Recorder.t -> Health.incident list -> string
 val dump_file : Recorder.t -> Health.incident list -> string -> unit
 val load_string : string -> (window, string) result
 val load_file : string -> (window, string) result
-
-(** {1 Re-export} *)
-
-val to_trace : window -> Trace.t
-val write_chrome_file : window -> string -> unit
 
 (** {1 Diagnosis} *)
 

@@ -64,7 +64,13 @@ let k_gc_sample = 14
 let k_hier_round = 15
 let k_hier_correct = 16
 let k_hier_elect = 17
-let kind_count = 18
+let k_rpc_call = 18
+let k_rpc_return = 19
+let k_rpc_timeout = 20
+let k_repl_request = 21
+let k_repl_checkpoint = 22
+let k_repl_state = 23
+let kind_count = 24
 
 let kind_name = function
   | 0 -> "step"
@@ -85,6 +91,12 @@ let kind_name = function
   | 15 -> "hier-round"
   | 16 -> "hier-correct"
   | 17 -> "hier-elect"
+  | 18 -> "rpc-call"
+  | 19 -> "rpc-return"
+  | 20 -> "rpc-timeout"
+  | 21 -> "repl-request"
+  | 22 -> "repl-checkpoint"
+  | 23 -> "state-applied"
   | _ -> "?"
 
 let kind_sub = function
@@ -94,6 +106,8 @@ let kind_sub = function
   | 9 -> Subsystem.Gcs
   | 10 | 11 | 12 | 13 | 14 -> Subsystem.Ccs
   | 15 | 16 | 17 -> Subsystem.Hier
+  | 18 | 19 | 20 -> Subsystem.Rpc
+  | 21 | 22 | 23 -> Subsystem.Repl
   | _ -> Subsystem.Scenario
 
 (* Names of the [a] / [b] payloads per kind ("" = unused). *)
@@ -116,6 +130,11 @@ let arg_names = function
   | 15 -> ("round", "")
   | 16 -> ("round", "ahead_us")
   | 17 -> ("shard", "gateway")
+  | 18 -> ("seq", "")
+  | 19 -> ("seq", "latency_us")
+  | 20 -> ("seq", "elapsed_us")
+  | 21 -> ("index", "")
+  | 22 | 23 -> ("upto", "")
   | _ -> ("a", "b")
 
 (* Drop reasons mirror [Netsim.Network]'s encoding. *)
@@ -136,13 +155,45 @@ let iter t f =
       ~a:t.buf.(base + 3) ~b:t.buf.(base + 4)
   done
 
-let to_trace ?capacity t =
-  let cap = match capacity with Some c -> c | None -> length t + 16 in
-  let tr = Trace.create ~capacity:cap () in
+(* Chrome export.  Two kinds bracket an interval and become B/E span
+   pairs: a CCS round (open .. settle) and an rpc invocation (call ..
+   return or timeout).  A close whose open was overwritten by ring wrap
+   stays an instant, so the exported trace never ends an unopened span;
+   every other record is an instant.  Rounds and invocations on one
+   node are sequential per thread, so per-node depth counting pairs
+   them the way the protocol nests them. *)
+
+let span_of_kind kind =
+  if kind = k_ccs_open || kind = k_ccs_settle then "ccs-round"
+  else if kind = k_rpc_call || kind = k_rpc_return || kind = k_rpc_timeout
+  then "rpc"
+  else ""
+
+let to_trace t =
+  let depth : (int * string, int) Hashtbl.t = Hashtbl.create 16 in
+  let events = ref [] in
   iter t (fun ~kind ~ts_us ~node ~a ~b ->
       let an, bn = arg_names kind in
-      let args = if bn = "" then [ (an, a) ] else [ (an, a); (bn, b) ] in
-      let args = if an = "" then [] else args in
-      Trace.instant tr ~ts_ns:(ts_us * 1000) ~pid:node ~sub:(kind_sub kind)
-        ~name:(kind_name kind) ~args);
-  tr
+      let args =
+        if an = "" then [] else if bn = "" then [ (an, a) ] else [ (an, a); (bn, b) ]
+      in
+      let ph, name =
+        match span_of_kind kind with
+        | "" -> (Trace.Instant, kind_name kind)
+        | span ->
+            let key = (node, span) in
+            let d = Option.value ~default:0 (Hashtbl.find_opt depth key) in
+            if kind = k_ccs_open || kind = k_rpc_call then begin
+              Hashtbl.replace depth key (d + 1);
+              (Trace.Begin, span)
+            end
+            else if d > 0 then begin
+              Hashtbl.replace depth key (d - 1);
+              (Trace.End, span)
+            end
+            else (Trace.Instant, kind_name kind)
+      in
+      events :=
+        { Trace.ph; ts_ns = ts_us * 1000; pid = node; sub = kind_sub kind; name; args }
+        :: !events);
+  Trace.of_list (List.rev !events)

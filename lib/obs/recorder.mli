@@ -5,8 +5,10 @@
     one flat [int array].  [emit] on the steady-state wrap path is five
     integer stores and two field writes: no boxing, no branch on
     capacity growth, nothing for the GC.  This is what lets the recorder
-    stay attached in every run (the black box), unlike {!Trace}, which
-    boxes an event record and its args per probe.
+    stay attached in every run (the black box).  It is the one probe
+    format: {!Sink.emit} feeds each record to the recorder, the health
+    monitor and {!Metrics} alike, and Chrome traces are exported from
+    the window ({!to_trace}).
 
     The record layout is an internal encoding; decode through
     {!kind_name} / {!kind_sub} / {!arg_names}, or convert a window with
@@ -47,9 +49,12 @@ val iter :
   unit
 (** Oldest to newest. *)
 
-val to_trace : ?capacity:int -> t -> Trace.t
-(** Decode the window into instant events (pid = node, tid = the kind's
-    subsystem) for {!Trace.write_chrome_file}. *)
+val to_trace : t -> Trace.t
+(** Decode the window for {!Trace.write_chrome_file}: pid = node, tid =
+    the kind's subsystem.  CCS rounds (open .. settle) and rpc
+    invocations (call .. return or timeout) become B/E spans named
+    ["ccs-round"] and ["rpc"]; every other record, and a close whose
+    open was lost to wrap, is an instant named by {!kind_name}. *)
 
 (** {1 Record kinds}
 
@@ -74,6 +79,12 @@ val k_gc_sample : int
 val k_hier_round : int
 val k_hier_correct : int
 val k_hier_elect : int
+val k_rpc_call : int
+val k_rpc_return : int
+val k_rpc_timeout : int
+val k_repl_request : int
+val k_repl_checkpoint : int
+val k_repl_state : int
 val kind_count : int
 
 val kind_name : int -> string

@@ -1,20 +1,24 @@
-(** The single gate every probe site checks.
+(** The one gate and the one emit every probe site uses.
 
     A sink is owned by the simulation engine ([Dsim.Engine.obs]) and is
-    {e inactive} by default: [active] is false, nothing is attached, and
-    a probe site costs one field load and one predictable branch — the
-    discipline that keeps PR 3's zero-allocation hot path intact with
-    probes compiled in.  The contract at every site is:
+    off by default: nothing is attached and [on] is false.  Every
+    observable event has one format, the {!Recorder}'s five ints — kind,
+    simulated-µs timestamp, node, two payloads — and every probe site
+    has one shape:
 
     {[
       let s = Dsim.Engine.obs eng in
-      if s.Obs.Sink.active then
-        (* construct args / record events — boxing allowed here *)
+      if s.Obs.Sink.on then
+        Obs.Sink.emit s ~kind:Obs.Recorder.k_token ~ts_us ~node ~a ~b
     ]}
 
-    i.e. nothing observable is even constructed unless the single
-    [active] check passes (the pattern proven by [Netsim.Network]'s
-    tracer-gated trace construction, which now routes through here).
+    A disabled site costs one field load and one predictable branch,
+    and nothing is computed for the record unless the gate passes.
+    {!emit} feeds the record to each attached consumer: the flight
+    recorder keeps it, the health monitor checks it, and {!Metrics}
+    turns it into the counter or histogram sample its kind maps to.
+    With only the recorder and metrics attached, the emit allocates
+    nothing.
 
     The record is plain data — no closures — so an engine carrying a
     sink (attached or not) still marshals, which [Mc.Harness]'s
@@ -23,91 +27,45 @@
     time, so a sink attached after world (re)build is still seen. *)
 
 type t = {
-  mutable active : bool;  (** true iff a trace or metrics is attached *)
-  mutable trace : Trace.t option;
-  mutable metrics : Metrics.t option;
-  mutable trace_steps : bool;
-      (** also emit one instant event per engine callback (very hot;
-          off by default even when tracing) *)
-  mutable attrib : Attrib.t option;
-      (** wall-time attribution recorder; gated separately from
-          [active] (see {!attr_enter}) so profiling a big run does not
-          also pay for trace-event construction *)
-  mutable rec_on : bool;
-      (** true iff a flight recorder or health monitor is attached —
-          the gate probe sites check before calling {!rec_event} *)
+  mutable on : bool;
+      (** the record gate: true iff a recorder, health monitor or
+          metrics registry is attached *)
+  mutable steps : bool;
+      (** also emit one [k_step] record per engine callback (very hot;
+          off by default).  With it off the engine still counts
+          [Engine_events] into an attached registry. *)
   mutable recorder : Recorder.t option;
   mutable health : Health.t option;
-  mutable rec_steps : bool;
-      (** also emit one flight-recorder record per engine callback
-          (very hot; off by default even when recording) *)
+  mutable metrics : Metrics.t option;
+  mutable attrib : Attrib.t option;
+      (** wall-time attribution, behind its own option (see
+          {!attr_enter}) *)
 }
 
-val inactive : unit -> t
 val create : unit -> t
-(** Alias of {!inactive}. *)
 
-val attach : ?trace:Trace.t -> ?metrics:Metrics.t -> t -> unit
-(** Attach the given consumers (leaving absent ones as they are) and
-    recompute [active]. *)
-
-val detach : t -> unit
-val is_active : t -> bool
-val trace : t -> Trace.t option
-val metrics : t -> Metrics.t option
-val set_trace_steps : t -> bool -> unit
-
-(** Emit helpers.  Callers are expected to have checked [active]; the
-    helpers still match on the individual consumers, so e.g. a
-    metrics-only sink records counters and skips trace events. *)
-
-val event :
-  t -> ph:Trace.phase -> ts_ns:int -> pid:int -> sub:Subsystem.t ->
-  name:string -> args:(string * int) list -> unit
-
-val span_begin :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val span_end :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val instant :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val count : t -> Metrics.key -> unit
-val observe : t -> Metrics.hkey -> float -> unit
-
-(** {1 Wall-time attribution}
-
-    Separate gate from [active]: [attr_enter]/[attr_leave] are no-ops
-    (one load, one branch) until a recorder is attached with
-    [set_attrib].  Callers bracket a region with a site interned once
-    via {!Attrib.site}; regions nest and must be exited on every
-    path. *)
-
-val set_attrib : t -> Attrib.t option -> unit
-val attrib : t -> Attrib.t option
-val attr_enter : t -> Attrib.site -> unit
-val attr_leave : t -> unit
-
-(** {1 Flight recorder / health monitor}
-
-    Third gate beside [active] and [attrib]: probe sites check
-    [rec_on] (one load, one branch) and then call {!rec_event} with
-    the ints they already hold — no boxing on either side, so the
-    recorder can stay attached in runs where tracing would be too
-    expensive.  Record kinds and payload meanings are defined by
-    {!Recorder}. *)
+val attach : ?metrics:Metrics.t -> t -> unit
+(** Attach a metrics registry (an absent one leaves it as it is) and
+    recompute [on]. *)
 
 val set_recorder : t -> Recorder.t option -> unit
 val set_health : t -> Health.t option -> unit
-val recorder : t -> Recorder.t option
-val health : t -> Health.t option
-val set_rec_steps : t -> bool -> unit
+val set_steps : t -> bool -> unit
+val metrics : t -> Metrics.t option
 
-val rec_event : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
-(** Feed one record to whichever of recorder / health is attached.
-    Callers are expected to have checked [rec_on]. *)
+val emit : t -> kind:int -> ts_us:int -> node:int -> a:int -> b:int -> unit
+(** Feed one record to every attached consumer.  Callers check [on]
+    first.  Record kinds and payload meanings are defined by
+    {!Recorder}. *)
+
+(** {1 Wall-time attribution}
+
+    Host time cannot ride in a record, so attribution keeps its own
+    option: [attr_enter]/[attr_leave] are no-ops (one load, one branch)
+    until an {!Attrib.t} is attached with [set_attrib].  Callers bracket a
+    region with a site interned once via {!Attrib.site}; regions nest
+    and must be exited on every path. *)
+
+val set_attrib : t -> Attrib.t option -> unit
+val attr_enter : t -> Attrib.site -> unit
+val attr_leave : t -> unit

@@ -9,58 +9,12 @@ type event = {
   args : (string * int) list;
 }
 
-let dummy =
-  { ph = Instant; ts_ns = 0; pid = 0; sub = Subsystem.Dsim; name = ""; args = [] }
+type t = event array
 
-type t = {
-  mutable buf : event array;
-  mutable n : int;
-  capacity : int;
-  mutable dropped : int;
-}
-
-let default_capacity = 1_000_000
-
-let create ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { buf = Array.make (min capacity 1024) dummy; n = 0; capacity; dropped = 0 }
-
-let length t = t.n
-let dropped t = t.dropped
-
-let clear t =
-  Array.fill t.buf 0 t.n dummy;
-  t.n <- 0;
-  t.dropped <- 0
-
-let record t ~ph ~ts_ns ~pid ~sub ~name ~args =
-  if t.n >= t.capacity then t.dropped <- t.dropped + 1
-  else begin
-    let cap = Array.length t.buf in
-    if t.n = cap then begin
-      let a = Array.make (min t.capacity (2 * cap)) dummy in
-      Array.blit t.buf 0 a 0 t.n;
-      t.buf <- a
-    end;
-    Array.unsafe_set t.buf t.n { ph; ts_ns; pid; sub; name; args };
-    t.n <- t.n + 1
-  end
-
-let span_begin t ~ts_ns ~pid ~sub ~name ~args =
-  record t ~ph:Begin ~ts_ns ~pid ~sub ~name ~args
-
-let span_end t ~ts_ns ~pid ~sub ~name ~args =
-  record t ~ph:End ~ts_ns ~pid ~sub ~name ~args
-
-let instant t ~ts_ns ~pid ~sub ~name ~args =
-  record t ~ph:Instant ~ts_ns ~pid ~sub ~name ~args
-
-let iter t f =
-  for i = 0 to t.n - 1 do
-    f t.buf.(i)
-  done
-
-let events t = Array.to_list (Array.sub t.buf 0 t.n)
+let of_list = Array.of_list
+let length = Array.length
+let iter t f = Array.iter f t
+let events = Array.to_list
 
 let subsystems t =
   let seen = Array.make Subsystem.count false in
@@ -159,7 +113,7 @@ let to_chrome ?(process_name = default_process_name) t b =
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n"
 
 let write_chrome_file ?process_name t path =
-  let b = Buffer.create (65536 + (t.n * 96)) in
+  let b = Buffer.create (65536 + (Array.length t * 96)) in
   to_chrome ?process_name t b;
   let oc = open_out path in
   Fun.protect

@@ -1,13 +1,11 @@
-(** Span / instant-event tracer with a Chrome trace-event exporter.
+(** Chrome trace-event export and validation.
 
-    Events carry the {e simulated} timestamp (integer nanoseconds), the
-    replica identity as [pid] and the {!Subsystem} as [tid], so a dump
-    loads directly into Perfetto / [chrome://tracing] with one process
-    row per replica and one named thread row per subsystem.
-
-    The buffer is an append-only growable array of plain records —
-    Marshal-safe, bounded by [capacity].  Events past the capacity are
-    counted in {!dropped} rather than silently discarded. *)
+    A trace is a finished array of events, built from the flight
+    recorder's window by {!Recorder.to_trace}.  Events carry the
+    {e simulated} timestamp (integer nanoseconds), the replica identity
+    as [pid] and the {!Subsystem} as [tid], so a dump loads directly
+    into Perfetto / [chrome://tracing] with one process row per replica
+    and one named thread row per subsystem. *)
 
 type phase = Begin | End | Instant
 
@@ -22,40 +20,11 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity is 1,000,000 events. *)
-
-val record :
-  t ->
-  ph:phase ->
-  ts_ns:int ->
-  pid:int ->
-  sub:Subsystem.t ->
-  name:string ->
-  args:(string * int) list ->
-  unit
-
-val span_begin :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val span_end :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
-val instant :
-  t -> ts_ns:int -> pid:int -> sub:Subsystem.t -> name:string ->
-  args:(string * int) list -> unit
-
+val of_list : event list -> t
 val length : t -> int
-val dropped : t -> int
-(** Events rejected because the buffer hit [capacity]. *)
-
-val clear : t -> unit
-val iter : t -> (event -> unit) -> unit
 val events : t -> event list
 val subsystems : t -> Subsystem.t list
-(** Distinct subsystems appearing in the recorded stream. *)
+(** Distinct subsystems appearing in the trace. *)
 
 val to_chrome : ?process_name:(int -> string) -> t -> Buffer.t -> unit
 (** Append the whole trace as one Chrome trace-event JSON document

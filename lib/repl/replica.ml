@@ -98,15 +98,15 @@ let may_send_state t =
 (* ------------------------------------------------------------------ *)
 (* Processing thread                                                   *)
 
+let probe t ~kind ~a =
+  let s = Dsim.Engine.obs t.eng in
+  if s.Obs.Sink.on then
+    Obs.Sink.emit s ~kind
+      ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
+      ~node:(Nid.to_int (me t)) ~a ~b:0
+
 let take_checkpoint t : Checkpoint.t =
-  (let s = Dsim.Engine.obs t.eng in
-   if s.Obs.Sink.active then begin
-     Obs.Sink.count s Obs.Metrics.Repl_checkpoints;
-     Obs.Sink.instant s
-       ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-       ~pid:(Nid.to_int (me t)) ~sub:Obs.Subsystem.Repl ~name:"checkpoint"
-       ~args:[ ("upto", t.processed) ]
-   end);
+  probe t ~kind:Obs.Recorder.k_repl_checkpoint ~a:t.processed;
   {
     upto = t.processed;
     app_state = t.app.snapshot ();
@@ -147,14 +147,7 @@ let process_req t ~(header : Gcs.Msg.header) ~op ~arg ~ts ~index =
             t.app.handle ~thread:main_thread ~op ~arg)
       in
       t.processed <- index;
-      (let s = Dsim.Engine.obs t.eng in
-       if s.Obs.Sink.active then begin
-         Obs.Sink.count s Obs.Metrics.Repl_requests;
-         Obs.Sink.instant s
-           ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-           ~pid:(Nid.to_int (me t)) ~sub:Obs.Subsystem.Repl ~name:"request"
-           ~args:[ ("index", index) ]
-       end);
+      probe t ~kind:Obs.Recorder.k_repl_request ~a:index;
       Hashtbl.replace t.reply_cache conn (header.msg_seq, result);
       send_reply result;
       maybe_periodic_checkpoint t
@@ -225,12 +218,7 @@ let apply_state t ~(for_node : Nid.t) (c : Checkpoint.t) =
     t.delivered_reqs <- c.upto;
     t.processed <- c.upto;
     t.recovered <- true;
-    (let s = Dsim.Engine.obs t.eng in
-     if s.Obs.Sink.active then
-       Obs.Sink.instant s
-         ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-         ~pid:(Nid.to_int (me t)) ~sub:Obs.Subsystem.Repl
-         ~name:"state-applied" ~args:[ ("upto", c.upto) ]);
+    probe t ~kind:Obs.Recorder.k_repl_state ~a:c.upto;
     Log.debug (fun m ->
         m "%a: state applied (upto=%d), processing resumes" Nid.pp (me t)
           c.upto);

@@ -355,11 +355,9 @@ let spread values =
   | _ -> Span.zero
 
 let publish_gauge t name v =
-  let s = Dsim.Engine.obs t.eng in
-  if s.Obs.Sink.active then
-    match Obs.Sink.metrics s with
-    | Some m -> Obs.Metrics.gauge m name := v
-    | None -> ()
+  match Obs.Sink.metrics (Dsim.Engine.obs t.eng) with
+  | Some m -> Obs.Metrics.gauge m name := v
+  | None -> ()
 
 let cross_shard_skew t =
   let skew = spread (shard_estimates t) in

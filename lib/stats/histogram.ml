@@ -25,12 +25,29 @@ let ensure t i =
     t.bins <- bigger
   end
 
-let add t x =
-  let i = index t x in
-  ensure t i;
+let add_at t i =
   t.bins.(i) <- t.bins.(i) + 1;
   t.count <- t.count + 1;
   if i > t.highest then t.highest <- i
+
+let add t x =
+  let i = index t x in
+  ensure t i;
+  add_at t i
+
+(* [index] on an int sample, with no boxed float crossing a call.  For a
+   non-negative quotient truncation is floor, and a negative one clamps
+   to bin 0 either way, so the bin is exactly [index]'s. *)
+let add_int t x =
+  let i = int_of_float ((float_of_int x -. t.lo) /. t.bin_width) in
+  let i = if i < 0 then 0 else i in
+  if i >= Array.length t.bins then
+    (ensure t i
+    [@ctslint.allow
+      "hotpath-alloc"
+        "amortized bin-array doubling; a sample inside the bins seen so \
+         far never grows"]);
+  add_at t i
 
 let count t = t.count
 let bin_count t = t.highest + 1

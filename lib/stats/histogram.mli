@@ -13,6 +13,9 @@ val create : ?lo:float -> bin_width:float -> unit -> t
 val add : t -> float -> unit
 (** Samples below [lo] are clamped into the first bin. *)
 
+val add_int : t -> int -> unit
+(** [add t (float_of_int x)], allocation-free once the bins cover [x]. *)
+
 val count : t -> int
 (** Total number of samples. *)
 

@@ -243,13 +243,8 @@ let rec enter_gather t ~candidates ~prefail =
   in
   t.state <- Gather g;
   (let s = Dsim.Engine.obs t.eng in
-   if s.Obs.Sink.active then
-     Obs.Sink.instant s
-       ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-       ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Totem ~name:"gather"
-       ~args:[ ("candidates", Set.cardinal g.proc_set) ];
-   if s.Obs.Sink.rec_on then
-     Obs.Sink.rec_event s ~kind:Obs.Recorder.k_gather
+   if s.Obs.Sink.on then
+     Obs.Sink.emit s ~kind:Obs.Recorder.k_gather
        ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Nid.to_int t.me)
        ~a:(Set.cardinal g.proc_set)
@@ -503,16 +498,8 @@ and maybe_finish_recovery t (rs : recovery_state) =
     t.state <- Operational;
     t.stat_views <- t.stat_views + 1;
     (let s = Dsim.Engine.obs t.eng in
-     if s.Obs.Sink.active then begin
-       Obs.Sink.count s Obs.Metrics.Totem_views;
-       Obs.Sink.instant s
-         ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-         ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Totem ~name:"operational"
-         ~args:
-           [ ("gen", c.new_ring.gen); ("members", List.length c.members) ]
-     end;
-     if s.Obs.Sink.rec_on then
-       Obs.Sink.rec_event s ~kind:Obs.Recorder.k_operational
+     if s.Obs.Sink.on then
+       Obs.Sink.emit s ~kind:Obs.Recorder.k_operational
          ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
          ~node:(Nid.to_int t.me) ~a:c.new_ring.gen
          ~b:(List.length c.members));
@@ -656,15 +643,8 @@ and accept_token t (tok : Wire.token) =
   t.last_token_seq <- tok.token_seq;
   t.stat_tokens <- t.stat_tokens + 1;
   (let s = Dsim.Engine.obs t.eng in
-   if s.Obs.Sink.active then begin
-     Obs.Sink.count s Obs.Metrics.Totem_tokens;
-     Obs.Sink.instant s
-       ~ts_ns:(Dsim.Time.to_ns (Dsim.Engine.now t.eng))
-       ~pid:(Nid.to_int t.me) ~sub:Obs.Subsystem.Totem ~name:"token"
-       ~args:[ ("seq", tok.token_seq); ("aru", tok.aru) ]
-   end;
-   if s.Obs.Sink.rec_on then
-     Obs.Sink.rec_event s ~kind:Obs.Recorder.k_token
+   if s.Obs.Sink.on then
+     Obs.Sink.emit s ~kind:Obs.Recorder.k_token
        ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Nid.to_int t.me) ~a:tok.token_seq ~b:tok.aru);
   (match t.token_probe with Some f -> f tok | None -> ());

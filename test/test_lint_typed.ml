@@ -547,6 +547,26 @@ let test_cross_check_recorder () =
   in
   check (Alcotest.float 0.0) "flight recorder emits allocate nothing" 0.0 dw
 
+let test_cross_check_sink_emit () =
+  assert_certified [ "Obs.Sink.emit"; "Obs.Metrics.record" ];
+  (* the one emit with the recorder and metrics consumers attached, over
+     every record kind: each kind's counter, and the two histograms fed
+     by CCS settles and rpc returns *)
+  let s = Obs.Sink.create () in
+  Obs.Sink.set_recorder s (Some (Obs.Recorder.create ~capacity:1024 ()));
+  Obs.Sink.attach s ~metrics:(Obs.Metrics.create ());
+  let pass () =
+    for i = 1 to 100_000 do
+      Obs.Sink.emit s
+        ~kind:(i mod Obs.Recorder.kind_count)
+        ~ts_us:i ~node:(i land 7) ~a:i ~b:(i land 255)
+    done
+  in
+  (* warm: the ring wraps and the histograms grow to every sample's bin *)
+  pass ();
+  let dw = minor_delta pass in
+  check (Alcotest.float 0.0) "sink emits allocate nothing" 0.0 dw
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -590,5 +610,7 @@ let suites =
         Alcotest.test_case "cross-check: rng" `Quick test_cross_check_rng;
         Alcotest.test_case "cross-check: recorder" `Quick
           test_cross_check_recorder;
+        Alcotest.test_case "cross-check: sink emit" `Quick
+          test_cross_check_sink_emit;
       ] );
   ]

@@ -337,7 +337,6 @@ let outcome observations stats =
     observations;
     stats;
     crashed = None;
-    packet_log = "";
   }
 
 let test_invariants_catch_violations () =
@@ -478,7 +477,13 @@ let test_seeded_bug_found_and_shrunk () =
           buggy
       in
       check bool "replayable" true (Mc.Invariant.check_all o <> []);
-      check bool "packet log rendered" true (v.Mc.Explore.packet_log <> "");
+      (* the replay's packets are in its window: per-(src, dst) FIFO
+         lineage for postmortem starts from these send records *)
+      let sends = ref 0 in
+      Obs.Recorder.iter v.Mc.Explore.window
+        (fun ~kind ~ts_us:_ ~node:_ ~a:_ ~b:_ ->
+          if kind = Obs.Recorder.k_send then incr sends);
+      check bool "packet records in the window" true (!sends > 0);
       (* the black box rides along: the minimal repro's flight window
          must parse back and actually contain records *)
       check bool "flight window attached" true (v.Mc.Explore.blackbox <> "");

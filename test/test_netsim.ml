@@ -336,39 +336,64 @@ let prop_broadcast_reaches_all_connected =
       got.(0) = 0
       && Array.for_all (( = ) 1) (Array.sub got 1 (nodes - 1)))
 
+(* Packet records: the network's sends, deliveries and drops reach the
+   engine's sink as flight-recorder records (kind, µs, node, a, b). *)
+
+let recorded_net ?capacity eng us =
+  let net = constant_net eng us in
+  let r = Obs.Recorder.create ?capacity () in
+  let s = Obs.Sink.create () in
+  Obs.Sink.set_recorder s (Some r);
+  Dsim.Engine.set_obs eng s;
+  (net, r)
+
+let records r =
+  let acc = ref [] in
+  Obs.Recorder.iter r (fun ~kind ~ts_us ~node ~a ~b ->
+      acc := { Obs.Postmortem.kind; ts_us; node; a; b } :: !acc);
+  List.rev !acc
+
+let of_kind k = List.filter (fun (e : Obs.Postmortem.record) -> e.kind = k)
+
+(* One broadcast per listed µs instant from node 0, the only attached
+   node: each leaves exactly one send record, stamped with its instant. *)
+let broadcasts_at eng net times =
+  Net.attach net (n 0) (fun ~src:_ _ -> ());
+  List.iter
+    (fun us ->
+      Dsim.Engine.schedule_at eng (Time.of_us us) (fun () ->
+          Net.broadcast net ~src:(n 0) us))
+    times;
+  Dsim.Engine.run eng
+
+let stamps r = List.map (fun (e : Obs.Postmortem.record) -> e.ts_us) (records r)
+
 let test_trace_records_events () =
   let eng = Dsim.Engine.create () in
-  let net = constant_net eng 5 in
-  let tr = Netsim.Trace.create () in
-  Net.attach_trace net tr;
+  let net, r = recorded_net eng 5 in
   Net.attach net (n 0) (fun ~src:_ _ -> ());
   Net.attach net (n 1) (fun ~src:_ _ -> ());
   Net.send net ~src:(n 0) ~dst:(n 1) "x";
   Net.broadcast net ~src:(n 1) "y";
   Dsim.Engine.run eng;
-  let es = Netsim.Trace.entries tr in
+  let es = records r in
   (* 2 sends + 2 deliveries *)
   check int "events recorded" 4 (List.length es);
-  let sends =
-    List.filter
-      (fun (e : string Netsim.Trace.entry) ->
-        match e.ev with Netsim.Trace.Sent _ -> true | _ -> false)
-      es
-  in
+  let sends = of_kind Obs.Recorder.k_send es in
   check int "two sends" 2 (List.length sends);
+  check (Alcotest.list int) "send destinations (-1 = broadcast)" [ 1; -1 ]
+    (List.map (fun (e : Obs.Postmortem.record) -> e.a) sends);
   check bool "timestamps ordered" true
     (let rec mono = function
-       | (a : string Netsim.Trace.entry) :: (b :: _ as rest) ->
-           Time.compare a.at b.at <= 0 && mono rest
+       | (a : Obs.Postmortem.record) :: (b :: _ as rest) ->
+           a.ts_us <= b.ts_us && mono rest
        | [ _ ] | [] -> true
      in
      mono es)
 
 let test_trace_records_drops () =
   let eng = Dsim.Engine.create () in
-  let net = constant_net eng 5 in
-  let tr = Netsim.Trace.create () in
-  Net.attach_trace net tr;
+  let net, r = recorded_net eng 5 in
   Net.attach net (n 0) (fun ~src:_ _ -> ());
   Net.attach net (n 1) (fun ~src:_ _ -> ());
   Net.partition net [ [ n 0 ]; [ n 1 ] ];
@@ -376,70 +401,59 @@ let test_trace_records_drops () =
   Dsim.Engine.run eng;
   let dropped =
     List.filter
-      (fun (e : string Netsim.Trace.entry) ->
-        match e.ev with
-        | Netsim.Trace.Dropped { reason = Netsim.Trace.Partitioned; _ } -> true
-        | _ -> false)
-      (Netsim.Trace.entries tr)
+      (fun (e : Obs.Postmortem.record) ->
+        Obs.Recorder.drop_reason_name e.b = "partitioned")
+      (of_kind Obs.Recorder.k_drop (records r))
   in
-  check int "partition drop traced" 1 (List.length dropped)
+  check int "partition drop recorded" 1 (List.length dropped)
 
 let test_trace_ring_buffer_bounded () =
-  let tr = Netsim.Trace.create ~capacity:8 () in
-  for i = 1 to 20 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  check int "bounded" 8 (Netsim.Trace.length tr);
-  check int "total counted" 20 (Netsim.Trace.total_recorded tr);
-  (match Netsim.Trace.entries tr with
-  | first :: _ -> check int "oldest kept is 13" 13 (Time.to_us first.at)
+  let eng = Dsim.Engine.create () in
+  let net, r = recorded_net ~capacity:8 eng 5 in
+  broadcasts_at eng net (List.init 20 (fun i -> i + 1));
+  check int "bounded" 8 (Obs.Recorder.length r);
+  check int "total counted" 20 (Obs.Recorder.total r);
+  (match stamps r with
+  | first :: _ -> check int "oldest kept is 13" 13 first
   | [] -> Alcotest.fail "empty");
-  Netsim.Trace.clear tr;
-  check int "cleared" 0 (Netsim.Trace.length tr)
+  Obs.Recorder.clear r;
+  check int "cleared" 0 (Obs.Recorder.length r)
 
 let test_trace_eviction_order () =
-  (* exactly the last [capacity] events survive, oldest first, and the
-     window keeps sliding as more events arrive *)
-  let tr = Netsim.Trace.create ~capacity:4 () in
-  let rec times acc = function
-    | [] -> List.rev acc
-    | (e : int Netsim.Trace.entry) :: rest -> times (Time.to_us e.at :: acc) rest
-  in
-  for i = 1 to 4 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  check int "at capacity" 4 (Netsim.Trace.length tr);
-  check (Alcotest.list int) "nothing evicted yet" [ 1; 2; 3; 4 ]
-    (times [] (Netsim.Trace.entries tr));
-  Netsim.Trace.record tr ~at:(Time.of_us 5)
-    (Netsim.Trace.Sent { src = n 0; dst = None; payload = 5 });
-  check (Alcotest.list int) "oldest evicted first" [ 2; 3; 4; 5 ]
-    (times [] (Netsim.Trace.entries tr));
-  check int "length pinned at capacity" 4 (Netsim.Trace.length tr);
-  check int "total keeps counting" 5 (Netsim.Trace.total_recorded tr)
+  (* exactly the last [capacity] packets survive, oldest first, and the
+     window keeps sliding as more packets go out *)
+  let eng = Dsim.Engine.create () in
+  let net, r = recorded_net ~capacity:4 eng 5 in
+  broadcasts_at eng net [ 1; 2; 3; 4 ];
+  check int "at capacity" 4 (Obs.Recorder.length r);
+  check (Alcotest.list int) "nothing evicted yet" [ 1; 2; 3; 4 ] (stamps r);
+  Dsim.Engine.schedule_at eng (Time.of_us 5) (fun () ->
+      Net.broadcast net ~src:(n 0) 5);
+  Dsim.Engine.run eng;
+  check (Alcotest.list int) "oldest evicted first" [ 2; 3; 4; 5 ] (stamps r);
+  check int "length pinned at capacity" 4 (Obs.Recorder.length r);
+  check int "total keeps counting" 5 (Obs.Recorder.total r)
 
 let test_trace_clear_then_reuse () =
-  (* clear resets both the window and the total, and the buffer is fully
+  (* clear resets both the window and the total, and the window is fully
      usable afterwards — including wrapping around again *)
-  let tr = Netsim.Trace.create ~capacity:3 () in
-  for i = 1 to 7 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  Netsim.Trace.clear tr;
-  check int "length reset" 0 (Netsim.Trace.length tr);
-  check int "total reset" 0 (Netsim.Trace.total_recorded tr);
-  check bool "entries empty" true (Netsim.Trace.entries tr = []);
-  for i = 10 to 14 do
-    Netsim.Trace.record tr ~at:(Time.of_us i)
-      (Netsim.Trace.Sent { src = n 0; dst = None; payload = i })
-  done;
-  check int "refilled past capacity" 3 (Netsim.Trace.length tr);
-  check int "total restarts from zero" 5 (Netsim.Trace.total_recorded tr);
-  match Netsim.Trace.entries tr with
-  | first :: _ -> check int "window slid after reuse" 12 (Time.to_us first.at)
+  let eng = Dsim.Engine.create () in
+  let net, r = recorded_net ~capacity:3 eng 5 in
+  broadcasts_at eng net (List.init 7 (fun i -> i + 1));
+  Obs.Recorder.clear r;
+  check int "length reset" 0 (Obs.Recorder.length r);
+  check int "total reset" 0 (Obs.Recorder.total r);
+  check bool "entries empty" true (records r = []);
+  List.iter
+    (fun us ->
+      Dsim.Engine.schedule_at eng (Time.of_us us) (fun () ->
+          Net.broadcast net ~src:(n 0) us))
+    [ 10; 11; 12; 13; 14 ];
+  Dsim.Engine.run eng;
+  check int "refilled past capacity" 3 (Obs.Recorder.length r);
+  check int "total restarts from zero" 5 (Obs.Recorder.total r);
+  match stamps r with
+  | first :: _ -> check int "window slid after reuse" 12 first
   | [] -> Alcotest.fail "empty after refill"
 
 let suites =
