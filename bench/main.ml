@@ -276,14 +276,13 @@ let bench_mc () =
   let bounded =
     run "bounded-reorder (depth 1)" (Mc.Strategy.Bounded { depth = 1 })
   in
-  (* Which world-reset mechanism the harness settled on for this config
-     (PR-8): `Diff is the dirty-set restore; `Marshal means the restore
-     verification probe rejected it and the run fell back to the PR-3
-     template path — worth knowing when reading the throughput above. *)
+  (* Which world-reset mechanism the harness settled on for this config:
+     `Diff is the dirty-set restore; `Fresh means the restore
+     verification probe rejected it and every run rebuilds its world —
+     worth knowing when reading the throughput above. *)
   let mode =
     match Mc.Harness.reuse_mode (Mc.Harness.reusable cfg) with
     | `Diff -> "diff"
-    | `Marshal -> "marshal"
     | `Fresh -> "fresh"
   in
   Format.fprintf ppf "world reset mechanism: %s@." mode;
@@ -709,7 +708,7 @@ let bench_mc_scaling () =
   in
   let cores = Domain.recommended_domain_count () in
   (* Scaling guard (PR-8): on a host that actually has the cores, four
-     domains finishing behind one means the work-stealing frontier is
+     domains finishing behind one means the parallel explorer is
      losing to its own coordination — the PR-7 regression this PR
      exists to fix.  On smaller hosts the 4-domain row measures
      oversubscription, not scaling, so the guard stays informational. *)

@@ -4,8 +4,8 @@
    - syntactic: parses every .ml under the given paths (default: lib bin
      bench test examples) and enforces the parsetree rules;
    - typed (--typed): loads the .cmt typedtrees dune's bin-annot build
-     already produced and certifies the zero-alloc hot path, domain
-     safety of pool-reachable state, and the runtime boundary.
+     already produced and certifies the zero-alloc hot path and the
+     domain safety of pool-reachable state.
 
    See lib/lint/rules.ml and DESIGN.md §11/§16.
 
@@ -42,7 +42,7 @@ let () =
       ( "--typed",
         Arg.Set typed,
         " also run the typed pass over the .cmt build (hotpath-alloc, \
-         domain-unsafe, runtime-boundary)" );
+         domain-unsafe)" );
       ( "--hotpath-report",
         Arg.Set hotpath_report,
         " with --typed: print the hot-path certification inventory" );

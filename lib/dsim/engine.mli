@@ -29,8 +29,8 @@ val obs : t -> Obs.Sink.t
     from one load + branch per probe) until a recorder, health monitor
     or metrics registry is attached to it.  Every instrumented layer reads
     the sink through its engine at each probe site rather than caching
-    it, so attaching after construction (or after [Mc.Harness] rebuilds a
-    marshalled world) takes effect immediately. *)
+    it, so attaching after construction (or to a world [Mc.Harness]
+    reuses) takes effect immediately. *)
 
 val set_obs : t -> Obs.Sink.t -> unit
 (** Adopt an externally owned sink (used by the scenario harness and the

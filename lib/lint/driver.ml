@@ -202,9 +202,9 @@ let check_path ctx ~loc path =
       if not (Rules.exempt (Rules.find "wall-clock") ~file) then
         report ctx ~rule:"wall-clock" ~loc
           (Printf.sprintf
-             "%s reads real time; replicas must read time through the CTS \
-              interposition (paper \xc2\xa73) and simulations through \
-              Dsim.Time"
+             "%s reads real time or the host; replicas must read time \
+              through the CTS interposition (paper \xc2\xa73) and \
+              simulations through Dsim.Time"
              id)
   | Rules.Random_use id ->
       if not (Rules.exempt (Rules.find "unseeded-random") ~file) then
@@ -310,7 +310,20 @@ let lint_structure ~file ?(respect_suppressions = true) str =
     default.Ast_iterator.value_binding sub vb;
     pop_attrs ctx pushed
   in
-  let iter = { default with Ast_iterator.expr; value_binding } in
+  (* [open Unix], [let open Unix in], [Unix.( ... )], [module U = Unix]
+     and [include Unix] all name the module itself: flag that one place,
+     since the members it brings into scope are unqualified from then
+     on. *)
+  let module_expr sub (me : Parsetree.module_expr) =
+    (match me.Parsetree.pmod_desc with
+    | Parsetree.Pmod_ident { Location.txt; loc } ->
+        let path = flatten txt in
+        if Rules.is_host_module path then
+          check_path ctx ~loc (path @ [ "*" ])
+    | _ -> ());
+    default.Ast_iterator.module_expr sub me
+  in
+  let iter = { default with Ast_iterator.expr; value_binding; module_expr } in
   iter.Ast_iterator.structure iter str;
   if respect_suppressions then
     List.iter

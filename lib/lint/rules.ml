@@ -29,8 +29,9 @@ let all =
     {
       name = "wall-clock";
       summary =
-        "real-time reads (Unix.gettimeofday/time/sleep, Sys.time, \
-         monotonic-clock) outside lib/clock";
+        "real-time reads and host I/O (Sys.time, monotonic-clock, any \
+         Unix/UnixLabels/Thread member or open/alias, blocking console \
+         reads) outside lib/clock";
       pass = Syntactic;
       allowed_in = [ "lib/clock/" ];
     };
@@ -90,15 +91,6 @@ let all =
       allowed_in = [];
     };
     {
-      name = "runtime-boundary";
-      summary =
-        "Unix.*/Sys.time/blocking console I/O outside the declared \
-         runtime layer (lib/rt_real); real wall-clock and host I/O must \
-         stay behind the runtime interface";
-      pass = Typed;
-      allowed_in = [ "lib/rt_real/" ];
-    };
-    {
       name = "bad-suppression";
       summary =
         "[@ctslint.allow]/[@ctslint.domain_owned] with a missing reason, \
@@ -151,10 +143,6 @@ let matches_suffix ~path pat =
 
 let wall_clock_idents =
   [
-    "Unix.gettimeofday";
-    "Unix.time";
-    "Unix.sleep";
-    "Unix.sleepf";
     "Sys.time";
     "Monotonic_clock.now";
     (* project wrappers around the monotonic clock: calling them is a
@@ -162,6 +150,27 @@ let wall_clock_idents =
     "Explore.wall";
     "Explore.cpu";
     "Attrib.now_ns";
+  ]
+
+(* Host-runtime modules: every member reads real time, sleeps, blocks on
+   host I/O or starts a system thread, so the whole module is fenced —
+   including [open Unix] and [module U = Unix], which would otherwise
+   hide its members behind unqualified names. *)
+let host_modules = [ "Unix"; "UnixLabels"; "Thread" ]
+
+let is_host_module path =
+  match path with m :: _ -> List.mem m host_modules | [] -> false
+
+(* Stdlib's blocking console reads: the input depends on the host, not
+   on the seed. *)
+let console_reads =
+  [
+    "input_line";
+    "read_line";
+    "read_int";
+    "read_int_opt";
+    "read_float";
+    "read_float_opt";
   ]
 
 let domain_idents = [ "Domain.spawn"; "Domain.self"; "Domain.join" ]
@@ -179,6 +188,9 @@ let classify path =
   match path with
   | [ ("==" | "!=") ] -> Phys_eq (List.hd path)
   | "Random" :: _ :: _ -> Random_use (String.concat "." path)
+  | ([ f ] | [ "Stdlib"; f ]) when List.mem f console_reads ->
+      Wall_clock (String.concat "." path)
+  | _ :: _ :: _ when is_host_module path -> Wall_clock (String.concat "." path)
   | _ ->
       if matches_suffix ~path "Hashtbl.iter" then Hash_iter
       else if matches_suffix ~path "Hashtbl.fold" then Hash_fold
@@ -199,11 +211,11 @@ let is_sort_path path =
   List.exists (fun p -> matches_suffix ~path p) sort_idents
 
 (* ------------------------------------------------------------------ *)
-(* Typed-pass policy tables (hotpath-alloc / domain-unsafe /
-   runtime-boundary).  Paths here are the *normalized* dotted names the
-   typed pass produces: "Dsim__Event_queue" becomes "Dsim.Event_queue",
-   and a leading "Stdlib." is stripped, so "Stdlib.Array.make" and a
-   direct "Array.make" compare equal. *)
+(* Typed-pass policy tables (hotpath-alloc / domain-unsafe).  Paths here
+   are the *normalized* dotted names the typed pass produces:
+   "Dsim__Event_queue" becomes "Dsim.Event_queue", and a leading
+   "Stdlib." is stripped, so "Stdlib.Array.make" and a direct
+   "Array.make" compare equal. *)
 
 let normalize_path name =
   let b = Buffer.create (String.length name) in
@@ -266,35 +278,6 @@ let prim_allocates name =
 let cold_error_paths = [ "invalid_arg"; "failwith"; "raise"; "raise_notrace" ]
 
 let is_cold_error path = List.mem (normalize_path path) cold_error_paths
-
-(* --- runtime-boundary --------------------------------------------- *)
-
-(* Whole-module fences (any member is a runtime call) and exact idents.
-   [Monotonic_clock.now] is bechamel's raw wall clock — the project
-   wrappers over it (Mc.Explore.wall, Obs.Attrib.now_ns) are annotated
-   at definition, so calling the *wrapper* is visible there, once. *)
-let runtime_module_prefixes = [ "Unix."; "Thread."; "UnixLabels." ]
-
-let runtime_idents =
-  [
-    "Sys.time";
-    "Monotonic_clock.now";
-    "input_line";
-    "read_line";
-    "read_int";
-    "read_int_opt";
-    "read_float";
-    "read_float_opt";
-  ]
-
-let is_runtime_path name =
-  let n = normalize_path name in
-  List.mem n runtime_idents
-  || List.exists
-       (fun pre ->
-         String.length n > String.length pre
-         && String.sub n 0 (String.length pre) = pre)
-       runtime_module_prefixes
 
 (* --- domain-unsafe ------------------------------------------------- *)
 

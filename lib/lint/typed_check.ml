@@ -17,10 +17,7 @@
    that are not DLS-backed, not made inside a lock-taking function, and
    not declared [@ctslint.domain_owned].
 
-   runtime-boundary — wall-clock/host-I/O identifiers recorded during
-   the walk are findings outside the declared runtime namespace.
-
-   All three mark the allows they consume ([s_used_typed]), and allows
+   Both mark the allows they consume ([s_used_typed]), and allows
    for typed rules that silenced nothing in a walked unit become
    [unused-allow] findings here — the syntactic pass deliberately
    leaves that judgment to us. *)
@@ -274,24 +271,6 @@ let domain_check env (units : Typed_facts.unit_facts list) =
 
 (* ------------------------------------------------------------------ *)
 
-let runtime_check env (units : Typed_facts.unit_facts list) =
-  let rule = Rules.find "runtime-boundary" in
-  List.iter
-    (fun (u : Typed_facts.unit_facts) ->
-      if not (Rules.exempt rule ~file:u.Typed_facts.u_file) then
-        List.iter
-          (fun (t : Typed_facts.rt_use) ->
-            ignore
-              (fault env ~file:u.Typed_facts.u_file ~loc:t.Typed_facts.t_loc
-                 ~rule:"runtime-boundary" ~supp:t.Typed_facts.t_supp
-                 (Printf.sprintf
-                    "%s is a runtime (wall-clock / host I/O) call outside \
-                     the declared runtime layer (lib/rt_real)"
-                    t.Typed_facts.t_ident)
-                : bool))
-          u.Typed_facts.u_runtime)
-    units
-
 (* Allows for typed rules that silenced nothing — judged only here,
    because only the typed pass knows whether they could have fired.
    [@ctslint.domain_owned] declarations are load-bearing metadata, not
@@ -338,7 +317,6 @@ let analyze ?(respect_suppressions = true)
   in
   let roots = List.map (fun f -> (f, go f)) roots in
   domain_check env units;
-  runtime_check env units;
   unused_check env units;
   let certified =
     Hashtbl.fold

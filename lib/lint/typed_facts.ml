@@ -1,8 +1,8 @@
 (* Extract per-function facts from one typedtree: allocation sites,
    call/reference edges, module-level mutable definitions and their
-   uses, runtime-boundary touches, and the [@ctslint.*] annotations —
-   everything Typed_check needs to judge the three typed rule families
-   without walking the trees again.
+   uses, and the [@ctslint.*] annotations — everything Typed_check needs
+   to judge the two typed rule families without walking the trees
+   again.
 
    The walk mirrors the syntactic driver's suppression discipline: an
    active-allow stack follows the typedtree's attributes (they are the
@@ -28,12 +28,6 @@ type alloc = {
   a_loc : Location.t;
   a_what : string;
   a_supp : Suppress.t option;  (* active hotpath-alloc allow *)
-}
-
-type rt_use = {
-  t_loc : Location.t;
-  t_ident : string;
-  t_supp : Suppress.t option;  (* active runtime-boundary allow *)
 }
 
 type fn_fact = {
@@ -64,7 +58,6 @@ type unit_facts = {
   u_modname : string;
   u_fns : fn_fact list;  (* in definition order *)
   u_globals : global_def list;
-  u_runtime : rt_use list;
   u_supps : Suppress.t list;  (* typed-pass sightings, file order *)
 }
 
@@ -91,7 +84,6 @@ type ctx = {
   mutable cur : fn_fact;
   mutable fns : fn_fact list;  (* reverse order *)
   mutable globals : global_def list;  (* reverse order *)
-  mutable runtime : rt_use list;  (* reverse order *)
 }
 
 let active_for ctx rule =
@@ -194,14 +186,6 @@ let prim_of (vd : Types.value_description) =
 let handle_ident ctx ~is_call (path : Path.t)
     (vd : Types.value_description) (loc : Location.t) =
   let dotted = Rules.normalize_path (Path.name path) in
-  if Rules.is_runtime_path (Path.name path) then
-    ctx.runtime <-
-      {
-        t_loc = loc;
-        t_ident = dotted;
-        t_supp = active_for ctx "runtime-boundary";
-      }
-      :: ctx.runtime;
   match prim_of vd with
   | Some prim ->
       if is_call && Rules.prim_allocates prim then
@@ -347,7 +331,6 @@ let walk_unit (u : Cmt_loader.unit_info) =
       cur = init_fact u.Cmt_loader.ui_modname;
       fns = [];
       globals = [];
-      runtime = [];
     }
   in
   let init = ctx.cur in
@@ -499,6 +482,5 @@ let walk_unit (u : Cmt_loader.unit_info) =
     u_modname = ctx.modname;
     u_fns = List.rev ctx.fns;
     u_globals = List.rev ctx.globals;
-    u_runtime = List.rev ctx.runtime;
     u_supps = List.rev ctx.supps;
   }

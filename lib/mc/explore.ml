@@ -34,10 +34,6 @@ let wall () =
   "wall-clock"
     "elapsed_s is a report field for the operator; it never feeds back \
      into exploration, schedules, or the merge"]
-[@@ctslint.allow
-  "runtime-boundary"
-    "this wrapper IS the explorer's declared clock boundary; throughput \
-     reporting needs one real elapsed-time read"]
 
 let cpu () =
   Sys.time ()
@@ -45,10 +41,6 @@ let cpu () =
   "wall-clock"
     "cpu_s is a report field for the operator; it never feeds back into \
      exploration, schedules, or the merge"]
-[@@ctslint.allow
-  "runtime-boundary"
-    "this wrapper IS the explorer's declared CPU-time boundary; the \
-     efficiency report needs one real CPU-time read"]
 
 let schedules_per_sec r =
   if r.elapsed_s <= 0. then 0.

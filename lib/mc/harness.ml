@@ -109,8 +109,8 @@ let measure ((cluster, services) : world) ~spec cfg =
   if cfg.rounds < 1 then invalid_arg "Mc.Harness.run: need >= 1 round";
   let eng = cluster.Cluster.eng in
   let net = cluster.Cluster.net in
-  (* Adopt an external obs sink on this world's engine (worlds rebuilt or
-     unmarshalled by the reuse path get a fresh engine each time, so the
+  (* Adopt an external obs sink on this world's engine (a reused world is
+     restored to its pristine, sink-less engine before every run, so the
      sink must be re-adopted per measurement).  Exploration leaves this
      [None]; a counterexample's replay carries its black box here. *)
   (match cfg.sink with Some s -> Dsim.Engine.set_obs eng s | None -> ());
@@ -217,21 +217,19 @@ let run ?(spec = Controller.default_spec) cfg =
    streams: startup uses a constant-latency, lossless network and
    jitterless clocks, so no stream is ever {e drawn} from before the
    measurement phase — construction only {e splits} the engine stream, in
-   a fixed order (network first, then one clock per node).  [reset] relies
-   on this: it restores a marshalled copy of the pristine world and
-   rewinds the streams to the states fresh construction under the new seed
-   would have produced.  The invariant is verified once per template by
-   replaying the split order against the freshly built world; on any
-   mismatch (or on a marshalling failure) the reusable falls back to fresh
-   construction, trading speed for unconditional correctness. *)
+   a fixed order (network first, then one clock per node).  Reuse relies
+   on this: it keeps ONE live world, rewinds it with [Snap.restore] and
+   rewinds the streams to the states fresh construction under the new
+   seed would have produced.  The split order is checked once per world;
+   on any mismatch the reusable falls back to fresh construction, trading
+   speed for unconditional correctness. *)
 
 type projection = { p_replicas : int; p_latency_us : int; p_skew : bool }
 
 type reusable = {
   mutable diff : (world * Snap.t) option;
-      (* live world + dirty-set snapshot: the fast path.  [None] = the
-         world holds state [Snap] cannot rewind (or the probe said so) *)
-  mutable template : Bytes.t option; (* [None] = fall back to fresh runs *)
+      (* live world + dirty-set snapshot.  [None] = the world holds state
+         [Snap] cannot rewind (or the probe said so): run fresh *)
   mutable proj : projection;
 }
 
@@ -257,19 +255,6 @@ let split_order_holds cfg ((cluster, _) : world) =
   && Dsim.Rng.state (Dsim.Engine.rng cluster.Cluster.eng)
      = Dsim.Rng.state scratch
 
-let make_template cfg =
-  (try
-     let world = build_world cfg in
-     if split_order_holds cfg world then
-       Some (Marshal.to_bytes world [ Marshal.Closures ])
-     else None
-   with _ -> None)
-  [@ctslint.allow
-    "exn-swallow"
-      "any marshalling failure (unmarshallable closure, abstract block) \
-       only disables the reuse fast path; fresh construction is the \
-       result-identical fallback"]
-
 (* Rewind every pre-measurement stream to what fresh construction under
    [cfg.seed] would hold, replaying the canonical split order. *)
 let reseed ((cluster, _) : world) cfg =
@@ -285,15 +270,17 @@ let reseed ((cluster, _) : world) cfg =
         (Dsim.Rng.state (Dsim.Rng.split er)))
     cluster.Cluster.nodes
 
-(* Diff-based reuse: keep ONE live world and rewind it between runs with
-   [Snap.restore] instead of rebuilding it from marshalled bytes.  The
-   snapshot layer cannot rewind every block (Bigarray RNG customs above
-   all — those go through [reseed] — but also any mutable state it does
-   not know how to walk), so a snapshot is only trusted after a
+(* The snapshot layer cannot rewind every block (Bigarray RNG customs
+   above all — those go through [reseed] — but also any mutable state it
+   does not know how to walk), so a snapshot is only trusted after a
    verification probe: run a short measurement on the pristine world,
    restore + reseed, run it again, and demand bit-identical fingerprints.
-   A world whose restore is lossy fails the probe and drops to the
-   marshal template; correctness never depends on [Snap] completeness. *)
+   A world whose restore is lossy fails the probe and drops to fresh
+   construction; correctness never depends on [Snap] completeness.
+
+   [build_world] itself is outside the catch: a configuration whose
+   startup fails fails fresh construction the same way, so its exception
+   surfaces here instead of being paid for again on every run. *)
 
 let probe_cfg cfg =
   {
@@ -305,10 +292,10 @@ let probe_cfg cfg =
   }
 
 let make_diff cfg =
-  (try
-     let world = build_world cfg in
-     if not (split_order_holds cfg world) then None
-     else begin
+  let world = build_world cfg in
+  if not (split_order_holds cfg world) then None
+  else
+    (try
        let snap = Snap.capture world in
        let pcfg = probe_cfg cfg in
        reseed world pcfg;
@@ -326,39 +313,15 @@ let make_diff cfg =
          Some (world, snap)
        end
        else None
-     end
-   with _ -> None)
-  [@ctslint.allow
-    "exn-swallow"
-      "a world the snapshot layer cannot capture or replay only disables \
-       the diff fast path; the marshal template and fresh construction \
-       are the result-identical fallbacks"]
+     with _ -> None)
+    [@ctslint.allow
+      "exn-swallow"
+        "a world the snapshot layer cannot capture, or whose probe \
+         measurement fails, only disables the diff fast path; fresh \
+         construction is the result-identical fallback"]
 
-(* When the diff path verified, marshal the same (restored-pristine)
-   world as the backup template instead of building a second world. *)
-let make_both cfg =
-  match make_diff cfg with
-  | Some (world, _) as diff ->
-      let template =
-        (try Some (Marshal.to_bytes world [ Marshal.Closures ])
-         with _ -> None)
-        [@ctslint.allow
-          "exn-swallow"
-            "marshalling failure only loses the backup template; the diff \
-             path (already verified) still serves runs"]
-      in
-      (diff, template)
-  | None -> (None, make_template cfg)
-
-let reusable cfg =
-  let diff, template = make_both cfg in
-  { diff; template; proj = projection cfg }
-
-let reuse_mode r =
-  match (r.diff, r.template) with
-  | Some _, _ -> `Diff
-  | None, Some _ -> `Marshal
-  | None, None -> `Fresh
+let reusable cfg = { diff = make_diff cfg; proj = projection cfg }
+let reuse_mode r = match r.diff with Some _ -> `Diff | None -> `Fresh
 
 let same_projection a b =
   (* Monomorphic on purpose: checked once per run. *)
@@ -369,39 +332,15 @@ let same_projection a b =
 let reset r cfg =
   if not (same_projection (projection cfg) r.proj) then begin
     r.proj <- projection cfg;
-    let diff, template = make_both cfg in
-    r.diff <- diff;
-    r.template <- template
+    r.diff <- make_diff cfg
   end;
-  r.diff <> None || r.template <> None
-
-let run_marshal r ~spec cfg =
-  match r.template with
-  | Some template -> (
-      match
-        (try
-           let world : world = Marshal.from_bytes template 0 in
-           reseed world cfg;
-           Some world
-         with _ ->
-           (* Unmarshalling failed: disable reuse for this projection. *)
-           r.template <- None;
-           None)
-        [@ctslint.allow
-          "exn-swallow"
-            "unmarshalling failure disables reuse for this projection; \
-             Harness.run is the result-identical fallback"]
-      with
-      | Some world -> measure world ~spec cfg
-      | None -> run ~spec cfg)
-  | None -> run ~spec cfg
+  r.diff <> None
 
 let run_reused r ?(spec = Controller.default_spec) cfg =
-  if reset r cfg then
-    match r.diff with
-    | Some (world, snap) ->
-        ignore (Snap.restore snap : int);
-        reseed world cfg;
-        measure world ~spec cfg
-    | None -> run_marshal r ~spec cfg
-  else run ~spec cfg
+  ignore (reset r cfg : bool);
+  match r.diff with
+  | Some (world, snap) ->
+      ignore (Snap.restore snap : int);
+      reseed world cfg;
+      measure world ~spec cfg
+  | None -> run ~spec cfg

@@ -32,8 +32,8 @@ type config = {
   bug : bug option;
   sink : Obs.Sink.t option;
       (** observability sink adopted by the world's engine for the
-          measurement (re-adopted after every rebuild/unmarshal, so it
-          works with the reuse path too).  [None] for exploration; the
+          measurement (re-adopted on every run, so it works with the
+          reuse path too).  [None] for exploration; the
           replay of a shrunk counterexample carries its flight recorder
           and metrics here (see {!Explore.build_violation}).  Attaching a
           sink never perturbs the run: the probes only read simulation
@@ -64,29 +64,32 @@ val run : ?spec:Controller.spec -> config -> Invariant.outcome * info
     seed-independent and the streams can be rewound to any seed
     afterwards.
 
-    Two snapshot mechanisms are kept, fastest-first: a {!Snap} dirty-set
-    rewind of the live world (no allocation, no rebuild — trusted only
-    after a verification probe proved restore + reseed replays a pristine
-    run bit-for-bit) and the marshalled template it falls back to.  If
-    both fail, the reusable silently falls back to fresh construction —
-    so {!run_reused} always returns exactly what {!run} would. *)
+    The snapshot is a {!Snap} dirty-set rewind of one live world (no
+    allocation, no rebuild), trusted only after a verification probe
+    proved that restore + reseed replays a pristine run bit-for-bit.  A
+    world that fails the probe (or the split-order check) makes the
+    reusable fall back to fresh construction — so {!run_reused} always
+    returns exactly what {!run} would. *)
 
 type reusable
 
-val reuse_mode : reusable -> [ `Diff | `Marshal | `Fresh ]
+val reuse_mode : reusable -> [ `Diff | `Fresh ]
 (** Which mechanism the next {!run_reused} will use: [`Diff] = dirty-set
-    restore of the live world, [`Marshal] = unmarshal the template,
-    [`Fresh] = full reconstruction.  Diagnostic (the bench reports it);
-    results are identical in all three modes. *)
+    restore of the live world, [`Fresh] = full reconstruction.
+    Diagnostic (the bench reports it); results are identical in both
+    modes. *)
 
 val reusable : config -> reusable
 (** Build a reusable worker harness for configurations sharing this
     configuration's startup projection ([replicas], [latency_us],
-    [skew_clocks]). *)
+    [skew_clocks]).  Raises whatever {!run} would raise forming this
+    configuration's world (e.g. [Failure] when the ring never forms
+    within the time limit). *)
 
 val reset : reusable -> config -> bool
 (** [reset r cfg] readies [r] for a run of [cfg], rebuilding the snapshot
-    if [cfg]'s startup projection differs from the current one.  Returns
+    if [cfg]'s startup projection differs from the current one (raising
+    as {!reusable} does when the new world cannot form).  Returns
     [false] when reuse is unavailable and runs will fall back to fresh
     construction (the fallback is handled inside {!run_reused}; callers
     only need the return value for diagnostics). *)

@@ -57,99 +57,37 @@ let note_violation min_viol i =
   upd ()
 
 (* ------------------------------------------------------------------ *)
-(* Random strategy: sharded index space + range stealing               *)
+(* Random strategy: one atomic index dispenser                         *)
 
 (* Run [i]'s seed and walk are pure functions of [i], so the frontier is
-   just the index range [0, n), split into one contiguous shard per
-   domain.  Each worker eats its own shard from the front in small
-   batches; a worker whose shard runs dry steals the BACK half of the
-   biggest surviving shard.  Compared to the previous mutex-guarded
-   central dispenser, the common case touches only the worker's own
-   shard lock (uncontended), and stealing moves O(remaining/2) indices
-   in O(1) by fiddling two bounds — the classic range-stealing deque,
-   legal here because the work items are consecutive integers. *)
-type shard = { mutable lo : int; mutable hi : int; sm : Mutex.t }
-
-let shard_take_batch sh k =
-  Mutex.lock sh.sm;
-  let lo = sh.lo in
-  let n = min k (sh.hi - lo) in
-  if n > 0 then sh.lo <- lo + n;
-  Mutex.unlock sh.sm;
-  (lo, n)
-
-let shard_steal sh =
-  Mutex.lock sh.sm;
-  let len = sh.hi - sh.lo in
-  (* ceil(len/2): a one-element shard is stolen whole, so a thief that
-     picked it always makes progress *)
-  let k = (len + 1) / 2 in
-  let stolen = (sh.hi - k, k) in
-  if k > 0 then sh.hi <- sh.hi - k;
-  Mutex.unlock sh.sm;
-  stolen
-
-(* Steal from the victim with the most work left (sized without locks:
-   stale bounds only make the choice suboptimal, never wrong). *)
-let pick_victim shards self =
-  let best = ref (-1) and best_len = ref 0 in
-  Array.iteri
-    (fun v sh ->
-      if v <> self then begin
-        let len = sh.hi - sh.lo in
-        if len > !best_len then begin
-          best := v;
-          best_len := len
-        end
-      end)
-    shards;
-  !best
-
+   just the index range [0, n), handed out one index at a time by a
+   shared atomic counter.  A schedule costs ~150 µs, so one
+   fetch-and-add per schedule is noise, and a shared dispenser never
+   leaves one domain idle while another still has work.  Indices
+   leave the counter in increasing order, so once a worker draws an
+   index past the current first violation every later one is past it
+   too, and the worker can stop. *)
 let run_indexed ~jobs ~stop_at_first cfg n task =
   let results = Array.make n None in
   if n > 0 then begin
-    let jobs = min jobs n in
+    let next = Atomic.make 0 in
     let min_viol = Atomic.make max_int in
-    let shards =
-      Array.init jobs (fun k ->
-          { lo = k * n / jobs; hi = (k + 1) * n / jobs; sm = Mutex.create () })
-    in
-    let batch = 16 in
-    let worker k () =
+    let worker () =
       let reusable = take_reusable cfg in
-      let sh = shards.(k) in
-      let continue = ref true in
-      while !continue do
-        let lo, got = shard_take_batch sh batch in
-        if got > 0 then
-          for i = lo to lo + got - 1 do
-            if not (stop_at_first && i > Atomic.get min_viol) then begin
-              let r = exec ~reusable cfg (task i) in
-              if r.violated <> None then note_violation min_viol i;
-              results.(i) <- Some r
-            end
-          done
-        else begin
-          match pick_victim shards k with
-          | -1 -> continue := false
-          | v ->
-              let slo, sn = shard_steal shards.(v) in
-              if sn > 0 then begin
-                Mutex.lock sh.sm;
-                sh.lo <- slo;
-                sh.hi <- slo + sn;
-                Mutex.unlock sh.sm
-              end
-              (* steal raced to nothing: rescan; loop exits when every
-                 shard reads empty *)
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n && not (stop_at_first && i > Atomic.get min_viol) then begin
+          let r = exec ~reusable cfg (task i) in
+          if r.violated <> None then note_violation min_viol i;
+          results.(i) <- Some r;
+          loop ()
         end
-      done;
+      in
+      loop ();
       give_reusable reusable
     in
-    let extra =
-      Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1)))
-    in
-    worker 0 ();
+    let extra = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     Array.iter Domain.join extra
   end;
   results
@@ -161,21 +99,19 @@ let explore_random ~delay_prob ~reorder_prob ~quantum ~jobs ~stop_at_first
       Strategy.random_run ~base_seed ~quantum ~delay_prob ~reorder_prob i)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded strategy: per-domain task deques + canonical replay merge   *)
+(* Bounded strategy: one shared FIFO + canonical replay merge          *)
 
 (* The bounded-reorder tree is discovered as it is executed: a spec's
    children are a pure function of its own result
    ({!Strategy.bounded_children}), and a child's [forced] trace extends
    its parent's, so the trace doubles as the task's canonical identity.
 
-   Execution is optimistic and unordered: each worker keeps a private
-   deque of specs, pops its own front (FIFO, so its local order
-   approximates the canonical BFS), pushes the children of what it ran,
-   and steals the back half of the fullest other deque when it runs dry —
-   no generation barrier, so domains never idle at a wave boundary while
-   one straggler finishes (the previous wave-synchronized BFS lost its
-   whole speedup to exactly that).  Every completed run is recorded in a
-   shared trace-keyed table.
+   Execution is optimistic and unordered: workers pop specs from one
+   mutex-guarded FIFO (so the global order approximates the canonical
+   BFS), run them outside the lock, and push the children of what they
+   ran — no generation barrier, so domains never idle at a wave boundary
+   while one straggler finishes.  Every completed run is recorded in a
+   trace-keyed table.
 
    Determinism is then restored by a sequential canonical replay on the
    calling domain: walk the BFS frontier in the exact FIFO order the
@@ -185,152 +121,64 @@ let explore_random ~delay_prob ~reorder_prob ~quantum ~jobs ~stop_at_first
    The output is therefore byte-identical at any domain count — the
    workers only decide how much of the table was filled in parallel. *)
 
-type dq = {
-  mutable items : (int64 * Controller.spec) array;
-  mutable dlo : int;
-  mutable dhi : int; (* live items in [dlo, dhi) of [items] *)
-  dqm : Mutex.t;
-}
-
-let dq_dummy = (0L, { Controller.forced = []; random = None; quantum = Span.zero })
-
-let dq_create () =
-  { items = Array.make 64 dq_dummy; dlo = 0; dhi = 0; dqm = Mutex.create () }
-
-let dq_push_back d x =
-  Mutex.lock d.dqm;
-  if d.dhi = Array.length d.items then begin
-    let live = d.dhi - d.dlo in
-    let items = Array.make (max 64 (2 * live)) dq_dummy in
-    Array.blit d.items d.dlo items 0 live;
-    d.items <- items;
-    d.dlo <- 0;
-    d.dhi <- live
-  end;
-  d.items.(d.dhi) <- x;
-  d.dhi <- d.dhi + 1;
-  Mutex.unlock d.dqm
-
-let dq_pop_front d =
-  Mutex.lock d.dqm;
-  let r =
-    if d.dlo < d.dhi then begin
-      let x = d.items.(d.dlo) in
-      d.items.(d.dlo) <- dq_dummy;
-      d.dlo <- d.dlo + 1;
-      Some x
-    end
-    else None
-  in
-  Mutex.unlock d.dqm;
-  r
-
-(* Move the back half (ceil, so a singleton victim still yields) of
-   [victim] into [self] (assumed empty).  The loot is copied out under
-   the victim's lock alone and inserted under [self]'s lock alone —
-   never holding both, so two thieves picking each other as victims
-   cannot deadlock on lock order. *)
-let dq_steal_into ~victim ~self =
-  Mutex.lock victim.dqm;
-  let live = victim.dhi - victim.dlo in
-  let k = (live + 1) / 2 in
-  let loot =
-    if k > 0 then begin
-      let a = Array.sub victim.items (victim.dhi - k) k in
-      Array.fill victim.items (victim.dhi - k) k dq_dummy;
-      victim.dhi <- victim.dhi - k;
-      a
-    end
-    else [||]
-  in
-  Mutex.unlock victim.dqm;
-  if k > 0 then begin
-    Mutex.lock self.dqm;
-    if Array.length self.items < k then self.items <- Array.make k dq_dummy;
-    Array.blit loot 0 self.items 0 k;
-    self.dlo <- 0;
-    self.dhi <- k;
-    Mutex.unlock self.dqm
-  end;
-  k > 0
-
 let explore_bounded ~depth ~quantum ~jobs ~stop_at_first ~budget cfg =
   let seed = cfg.Harness.seed in
   let root = { Controller.forced = []; random = None; quantum } in
-  (* shared trace-keyed result table *)
+  (* Everything below is guarded by [m]: the FIFO, the trace-keyed result
+     table, the claim count, the running-task count and the violation
+     flag. *)
+  let m = Mutex.create () in
+  let queue = Queue.create () in
   let table : (Schedule.t, run_result) Hashtbl.t = Hashtbl.create 1024 in
-  let table_m = Mutex.create () in
-  let record spec r =
-    Mutex.lock table_m;
-    Hashtbl.replace table spec.Controller.forced r;
-    Mutex.unlock table_m
-  in
-  let lookup spec =
-    Mutex.lock table_m;
-    let r = Hashtbl.find_opt table spec.Controller.forced in
-    Mutex.unlock table_m;
-    r
-  in
-  let claims = Atomic.make 0 in
-  let inflight = Atomic.make 0 in
-  let violated_flag = Atomic.make false in
-  let deques = Array.init jobs (fun _ -> dq_create ()) in
-  dq_push_back deques.(0) (seed, root);
-  let worker k () =
+  let claims = ref 0 and inflight = ref 0 and violated = ref false in
+  Queue.push root queue;
+  let worker () =
     let reusable = take_reusable cfg in
-    let d = deques.(k) in
-    let continue = ref true in
-    while !continue do
-      if
-        Atomic.get claims >= budget
-        || (stop_at_first && Atomic.get violated_flag)
-      then continue := false
-      else
-        match dq_pop_front d with
-        | Some ((_, spec) as tsk) ->
-            if Atomic.fetch_and_add claims 1 < budget then begin
-              Atomic.incr inflight;
-              let r = exec ~reusable cfg tsk in
-              record spec r;
-              if r.violated <> None then Atomic.set violated_flag true;
-              if Schedule.length spec.Controller.forced < depth then
-                List.iter
-                  (fun child -> dq_push_back d (seed, child))
-                  (Strategy.bounded_children ~quantum ~parent:spec
-                     ~info:r.info);
-              Atomic.decr inflight
-            end
-        | None ->
-            (* own deque dry: steal the fullest victim's back half *)
-            let victim = ref (-1) and best = ref 0 in
-            Array.iteri
-              (fun v dv ->
-                if v <> k then begin
-                  let live = dv.dhi - dv.dlo in
-                  if live > !best then begin
-                    victim := v;
-                    best := live
-                  end
-                end)
-              deques;
-            if !victim >= 0 then
-              ignore (dq_steal_into ~victim:deques.(!victim) ~self:d : bool)
-            else if Atomic.get inflight = 0 then
-              (* nothing queued anywhere and nobody is running a task
-                 that could still publish children: the tree is done *)
-              continue := false
-            else Domain.cpu_relax ()
-    done;
+    let rec loop () =
+      Mutex.lock m;
+      if !claims >= budget || (stop_at_first && !violated) then Mutex.unlock m
+      else if Queue.is_empty queue then begin
+        (* nothing queued: done unless a running task may still publish
+           children *)
+        let idle = !inflight = 0 in
+        Mutex.unlock m;
+        if not idle then begin
+          Domain.cpu_relax ();
+          loop ()
+        end
+      end
+      else begin
+        let spec = Queue.pop queue in
+        incr claims;
+        incr inflight;
+        Mutex.unlock m;
+        let r = exec ~reusable cfg (seed, spec) in
+        let children =
+          if Schedule.length spec.Controller.forced < depth then
+            Strategy.bounded_children ~quantum ~parent:spec ~info:r.info
+          else []
+        in
+        Mutex.lock m;
+        Hashtbl.replace table spec.Controller.forced r;
+        if r.violated <> None then violated := true;
+        List.iter (fun child -> Queue.push child queue) children;
+        decr inflight;
+        Mutex.unlock m;
+        loop ()
+      end
+    in
+    loop ();
     give_reusable reusable
   in
-  let extra = Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  worker 0 ();
+  let extra = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
   Array.iter Domain.join extra;
   (* Canonical replay: the exact FIFO frontier the sequential generator
      walks, truncated at [budget], served from the table (or, for the
      rare miss, run here and now).  This is the deterministic
      merge-by-index: the result array below is indistinguishable from a
-     sequential run's, whatever [jobs] was. *)
+     sequential run's, whatever [jobs] was.  The workers have all been
+     joined, so the table is read without the lock. *)
   let reusable = take_reusable cfg in
   let frontier : (int64 * Controller.spec) Queue.t = Queue.create () in
   Queue.push (seed, root) frontier;
@@ -339,7 +187,11 @@ let explore_bounded ~depth ~quantum ~jobs ~stop_at_first ~budget cfg =
   let stop = ref false in
   while (not !stop) && !count < budget && not (Queue.is_empty frontier) do
     let (_, spec) as tsk = Queue.pop frontier in
-    let r = match lookup spec with Some r -> r | None -> exec ~reusable cfg tsk in
+    let r =
+      match Hashtbl.find_opt table spec.Controller.forced with
+      | Some r -> r
+      | None -> exec ~reusable cfg tsk
+    in
     out := r :: !out;
     incr count;
     if stop_at_first && r.violated <> None then stop := true

@@ -3,28 +3,25 @@
     Fans the {!Explore} loop out over [jobs] worker domains (OCaml 5
     [Domain]s).  Every harness run is a pure function of its seed and
     controller spec, and each domain builds its own engine, network and
-    RNGs, so workers share nothing but the work dispenser — a
-    mutex-guarded index counter — and the result array, whose slots are
-    written by exactly one worker each.
+    RNGs, so workers share nothing but the work dispenser and the
+    results.
 
     Reports are deterministic: for a fixed strategy, budget and seed, the
     violation list and the distinct-schedule count are identical whatever
     [jobs] is, and identical to the sequential {!Explore.explore}.
 
-    The frontier is sharded and work-stealing rather than centrally
-    dispensed or wave-synchronized:
+    There is one work dispenser per strategy, and no wave barrier:
 
-    - [Random]: the run-index space [0, budget) is split into one
-      contiguous shard per domain (run [i] is a pure function of [i],
-      {!Strategy.random_run}); a worker eats its own shard from the
-      front and steals the back half of the fullest survivor when it
-      runs dry, so the common case takes only its own uncontended lock.
-    - [Bounded]: per-domain deques over the deviation-prefix tree,
-      executed optimistically with back-half stealing and no generation
-      barrier; a sequential canonical replay then walks the exact BFS
-      FIFO order off the shared result table (running any task the
-      workers missed on the spot), so the output is independent of how
-      the tree was raced.
+    - [Random]: run [i] is a pure function of [i]
+      ({!Strategy.random_run}), so workers draw indices from one shared
+      atomic counter and write result slot [i], which no other worker
+      touches.
+    - [Bounded]: workers pop deviation-prefix specs from one
+      mutex-guarded FIFO and push the children of what they ran into it,
+      recording each result in a trace-keyed table; a sequential
+      canonical replay then walks the exact BFS FIFO order off that table
+      (running any task the workers missed on the spot), so the output is
+      independent of how the tree was raced.
 
     The merge dedupes schedules by outcome fingerprint, orders violations
     by schedule index, and confirms/shrinks each violation sequentially

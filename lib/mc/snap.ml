@@ -33,8 +33,8 @@
      leaf: either immutable, or restored by other means (the harness
      rewinds RNG customs through its own reseed protocol), or absent from
      the worlds we snapshot.  [Harness] verifies each snapshot with a
-     restore-vs-pristine probe run and falls back to marshalling when a
-     world contains unrestorable state, so incompleteness here degrades
+     restore-vs-pristine probe run and falls back to fresh construction
+     when a world contains unrestorable state, so incompleteness here degrades
      speed, never correctness. *)
 
 type t = {

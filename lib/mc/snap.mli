@@ -10,7 +10,8 @@
     results): custom blocks (Bigarray RNG state), lazies, objects and
     continuations are leaf-shared, not restored — the harness rewinds
     RNGs through its own reseed protocol and verifies every snapshot
-    with a restore-vs-pristine probe run before trusting it
+    with a restore-vs-pristine probe run before trusting it, falling back
+    to fresh construction when the probe fails
     ({!Harness.reuse_mode}). *)
 
 type t

@@ -85,10 +85,6 @@ let now_ns () =
     "attribution measures real elapsed time by definition; the numbers \
      only ever flow into operator reports, never back into simulated \
      state"]
-[@@ctslint.allow
-  "runtime-boundary"
-    "this wrapper IS the declared clock boundary for attribution; every \
-     other obs site calls now_ns instead of the raw clock"]
 
 let create () =
   {

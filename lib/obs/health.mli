@@ -22,8 +22,8 @@
     One incident record per invariant, updated in place: first-seen and
     last-seen timestamps, occurrence count, worst value and the node
     that produced it.  State is plain data (arrays and a Hashtbl used
-    point-wise, never iterated), so a sink carrying a monitor still
-    marshals. *)
+    point-wise, never iterated), so a world carrying a monitor is still
+    rewound by [Mc.Harness]'s snapshot. *)
 
 type incident = {
   inv : string;  (** invariant id, e.g. ["token-liveness"] *)

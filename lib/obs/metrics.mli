@@ -3,8 +3,7 @@
     sections, with a snapshot-to-JSON exporter.
 
     The registry is plain data (no closures), so a metrics-carrying
-    simulator world still marshals — the property [Mc.Harness]'s world
-    reuse depends on. *)
+    simulator world is still rewound by [Mc.Harness]'s world snapshot. *)
 
 type t
 

@@ -12,9 +12,9 @@
 
     The record layout is an internal encoding; decode through
     {!kind_name} / {!kind_sub} / {!arg_names}, or convert a window with
-    {!to_trace} for the Chrome exporter.  The buffer is plain data, so a
-    sink carrying a recorder still marshals ([Mc.Harness] world
-    reuse). *)
+    {!to_trace} for the Chrome exporter.  The buffer is plain data, so
+    [Mc.Snap] rewinds a sink carrying a recorder like any other world
+    state ([Mc.Harness] world reuse). *)
 
 type t
 

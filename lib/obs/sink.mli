@@ -21,8 +21,8 @@
     nothing.
 
     The record is plain data — no closures — so an engine carrying a
-    sink (attached or not) still marshals, which [Mc.Harness]'s
-    world-reuse path requires.  Components must read the sink through
+    sink (attached or not) is still rewound by [Mc.Harness]'s world
+    snapshot.  Components must read the sink through
     the engine at each probe rather than caching it at construction
     time, so a sink attached after world (re)build is still seen. *)
 

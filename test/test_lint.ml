@@ -61,7 +61,78 @@ let test_wall_clock () =
     {|let t = (Unix.gettimeofday () [@ctslint.allow "wall-clock" "boot banner only"])|}
   in
   check int "suppressed" 0 (count_rule "wall-clock" src);
-  check int "suppression recorded" 1 (List.length (supps_of src))
+  check int "suppression recorded" 1 (List.length (supps_of src));
+  (* host I/O: any member of the host-runtime modules, and the blocking
+     console reads *)
+  check int "Unix member flagged" 1
+    (count_rule "wall-clock" "let fd = Unix.openfile \"f\" [] 0");
+  check int "UnixLabels member flagged" 1
+    (count_rule "wall-clock" "let () = UnixLabels.sleep 1");
+  check int "Thread member flagged" 1
+    (count_rule "wall-clock" "let () = Thread.yield ()");
+  check int "input_line flagged" 1
+    (count_rule "wall-clock" "let l = input_line stdin");
+  check int "Stdlib.read_line flagged" 1
+    (count_rule "wall-clock" "let l = Stdlib.read_line ()");
+  check int "read_int_opt flagged" 1
+    (count_rule "wall-clock" "let n = read_int_opt ()");
+  check int "read_float flagged" 1
+    (count_rule "wall-clock" "let x = read_float ()");
+  check int "In_channel.input_line clean" 0
+    (count_rule "wall-clock" "let l = In_channel.input_line stdin");
+  (* host modules brought into scope: flagged where the module is named,
+     since the members are unqualified from then on *)
+  check int "open Unix flagged" 1
+    (count_rule "wall-clock" "open Unix\nlet t = gettimeofday ()");
+  check int "let open flagged" 1
+    (count_rule "wall-clock" "let t = let open Unix in gettimeofday ()");
+  check int "local open flagged" 1
+    (count_rule "wall-clock" "let t = Unix.(gettimeofday ())");
+  check int "module alias flagged" 1
+    (count_rule "wall-clock" "module U = Unix\nlet t = U.gettimeofday ()");
+  check int "local module alias flagged" 1
+    (count_rule "wall-clock"
+       "let t = let module U = Thread in U.yield ()")
+
+(* Exact position and identifier of a host read, in a runtime-layer-like
+   file: no directory outside lib/clock is exempt. *)
+let test_wall_clock_positive () =
+  let findings, _ =
+    lint ~file:"lib/foo.ml" "let elapsed () = Sys.time ()\n"
+  in
+  check int "one finding" 1 (List.length findings);
+  let f = List.hd findings in
+  check Alcotest.string "rule" "wall-clock" f.Lint.Finding.rule;
+  check Alcotest.string "exact file" "lib/foo.ml" f.Lint.Finding.file;
+  check int "exact line" 1 f.Lint.Finding.line;
+  check bool "names the ident" true
+    (let m = f.Lint.Finding.message in
+     String.length m >= 8 && String.sub m 0 8 = "Sys.time")
+
+let wall_clock_suppressed_src =
+  "let elapsed () =\n\
+  \  Sys.time ()\n\
+   [@@ctslint.allow \"wall-clock\" \"fixture: declared boundary\"]\n"
+
+let test_wall_clock_suppressed () =
+  let findings, supps =
+    lint ~file:"lib/foo.ml" wall_clock_suppressed_src
+  in
+  check int "allow silences the finding" 0 (List.length findings);
+  (match supps with
+  | [ s ] ->
+      check Alcotest.string "consumed by the syntactic pass" "syntactic"
+        (Lint.Suppress.pass_label s)
+  | _ -> Alcotest.fail "expected exactly one suppression sighting");
+  let audit, _ =
+    Lint.Driver.lint_string ~file:"lib/foo.ml" ~respect_suppressions:false
+      wall_clock_suppressed_src
+  in
+  check int "audit mode re-surfaces it" 1
+    (List.length
+       (List.filter
+          (fun f -> String.equal f.Lint.Finding.rule "wall-clock")
+          audit))
 
 let test_hash_order () =
   (* positive: iter whose callback order escapes (the endpoint bug shape:
@@ -340,6 +411,10 @@ let suites =
     ( "lint",
       [
         Alcotest.test_case "rule: wall-clock" `Quick test_wall_clock;
+        Alcotest.test_case "wall-clock: positive" `Quick
+          test_wall_clock_positive;
+        Alcotest.test_case "wall-clock: suppressed" `Quick
+          test_wall_clock_suppressed;
         Alcotest.test_case "rule: hash-order" `Quick test_hash_order;
         Alcotest.test_case "rule: unseeded-random" `Quick
           test_unseeded_random;

@@ -1,7 +1,7 @@
 (* Tests for the typed pass of ctslint (lib/lint: Cmt_loader +
-   Typed_facts + Typed_check): per-rule fixtures for the three typed
-   families — hotpath-alloc, domain-unsafe, runtime-boundary — each with
-   a positive finding, a clean negative, and a suppressed variant;
+   Typed_facts + Typed_check): per-rule fixtures for the two typed
+   families — hotpath-alloc and domain-unsafe — each with a positive
+   finding, a clean negative, and a suppressed variant;
    interprocedural certification across modules; suppression pass
    attribution; the live-tree typed gate (every [@ctslint.hotpath] root
    certifies, zero findings); and the static-vs-dynamic cross-check:
@@ -37,7 +37,7 @@ let write_file path src =
 
 (* [files] are (relative-path, source) pairs in dependency order; the
    relative path becomes [cmt_sourcefile], which is what the path-based
-   policies (domain roots, runtime exemptions) match against. *)
+   policies (domain roots) match against. *)
 let analyze_fixture ?(respect = true) files =
   let dir = Filename.temp_file "ctslint_typed_" ".fix" in
   Sys.remove dir;
@@ -225,49 +225,6 @@ let test_domain_owned_suppressed () =
       check string "consumed by the typed pass" "typed"
         (Lint.Suppress.pass_label s)
   | None -> Alcotest.fail "domain_owned sighting missing"
-
-(* ------------------------------------------------------------------ *)
-(* runtime-boundary                                                    *)
-
-let test_runtime_positive () =
-  let r =
-    analyze_fixture [ ("lib/foo.ml", "let elapsed () = Sys.time ()\n") ]
-  in
-  check int "one finding" 1 (count_rule "runtime-boundary" r);
-  let f = List.hd (findings r) in
-  check string "exact file" "lib/foo.ml" f.Lint.Finding.file;
-  check int "exact line" 1 f.Lint.Finding.line;
-  check bool "names the ident" true
-    (contains ~sub:"Sys.time" f.Lint.Finding.message)
-
-let test_runtime_exempt () =
-  let r =
-    analyze_fixture
-      [ ("lib/rt_real/clock.ml", "let elapsed () = Sys.time ()\n") ]
-  in
-  check int "the runtime layer may touch the runtime" 0
-    (List.length (findings r))
-
-let runtime_suppressed_src =
-  "let elapsed () =\n\
-  \  Sys.time ()\n\
-   [@@ctslint.allow \"runtime-boundary\" \"fixture: declared boundary\"]\n"
-
-let test_runtime_suppressed () =
-  let r = analyze_fixture [ ("lib/foo.ml", runtime_suppressed_src) ] in
-  check int "allow silences the finding" 0 (List.length (findings r));
-  (match
-     supp_with r (fun s ->
-         String.equal s.Lint.Suppress.s_rule "runtime-boundary")
-   with
-  | Some s ->
-      check string "consumed by the typed pass" "typed"
-        (Lint.Suppress.pass_label s)
-  | None -> Alcotest.fail "suppression sighting missing");
-  let audit =
-    analyze_fixture ~respect:false [ ("lib/foo.ml", runtime_suppressed_src) ]
-  in
-  check int "audit mode re-surfaces it" 1 (count_rule "runtime-boundary" audit)
 
 (* ------------------------------------------------------------------ *)
 (* Suppression hygiene across the two passes                           *)
@@ -589,12 +546,6 @@ let suites =
           test_domain_lock_negative;
         Alcotest.test_case "domain-unsafe: domain_owned" `Quick
           test_domain_owned_suppressed;
-        Alcotest.test_case "runtime-boundary: positive" `Quick
-          test_runtime_positive;
-        Alcotest.test_case "runtime-boundary: rt_real exempt" `Quick
-          test_runtime_exempt;
-        Alcotest.test_case "runtime-boundary: suppressed" `Quick
-          test_runtime_suppressed;
         Alcotest.test_case "unused typed allow" `Quick test_unused_typed_allow;
         Alcotest.test_case "syntactic hygiene of typed attributes" `Quick
           test_syntactic_hygiene_of_typed_attrs;

@@ -275,7 +275,7 @@ let test_snap_restore_unit () =
 let test_diff_mode_engaged () =
   (* The standard exploration world must pass the snapshot verification
      probe: if [Snap] silently stopped covering some state, reuse would
-     fall back to marshalling and this fails loudly instead of hiding a
+     fall back to fresh construction and this fails loudly instead of hiding a
      10x slowdown behind identical results. *)
   let r = Mc.Harness.reusable (cfg 8) in
   check bool "diff mode verified" true (Mc.Harness.reuse_mode r = `Diff);
@@ -306,6 +306,20 @@ let test_diff_survives_crash_runs () =
   check_reused_matches_fresh "clean run after crash run" r (cfg 8)
     Mc.Controller.default_spec;
   check bool "reset still available" true (Mc.Harness.reset r (cfg 8))
+
+let test_reusable_surfaces_formation_failure () =
+  (* At 1 ms wire latency four replicas do not form a ring within the
+     startup time limit.  Fresh construction raises, and so must the
+     reusable: a swallowed failure would hand out a [`Fresh] reusable
+     whose every run rebuilds the same doomed world. *)
+  let c =
+    { Mc.Harness.default with Mc.Harness.replicas = 4; latency_us = 1000 }
+  in
+  let limit = Failure "Cluster.run_until: time limit exceeded" in
+  Alcotest.check_raises "fresh run" limit (fun () ->
+      ignore (Mc.Harness.run c : Mc.Invariant.outcome * Mc.Harness.info));
+  Alcotest.check_raises "reusable" limit (fun () ->
+      ignore (Mc.Harness.reusable c : Mc.Harness.reusable))
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checks on hand-built outcomes *)
@@ -607,6 +621,8 @@ let suites =
           test_diff_mode_engaged;
         Alcotest.test_case "diff survives crash runs" `Quick
           test_diff_survives_crash_runs;
+        Alcotest.test_case "reusable raises on failed formation" `Quick
+          test_reusable_surfaces_formation_failure;
       ] );
     ( "mc.invariants",
       [
