@@ -1,8 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index), runs Bechamel
    micro-benchmarks of the building blocks, and emits a machine-readable
-   benchmark trajectory (BENCH_PR10.json, or $CTS_BENCH_JSON) so future
-   PRs can diff their perf numbers against this one.  The engine and
+   benchmark trajectory (to the file $CTS_BENCH_JSON names; nothing is
+   written when it is unset) so future PRs can diff their perf numbers
+   against this one.  The engine and
    explorer sections also report explicit deltas against the checked-in
    PR-2..PR-8 numbers (BENCH_PR2.json .. BENCH_PR8.json) measured on
    the same machine; the OBS1 section guards PR 4's claim that
@@ -46,8 +47,9 @@ let section name = Format.fprintf ppf "@.==== %s ====@.@." name
 let json_fields : (string * string) list ref = ref []
 let json_add name fragment = json_fields := (name, fragment) :: !json_fields
 
-let json_path =
-  Option.value ~default:"BENCH_PR10.json" (Sys.getenv_opt "CTS_BENCH_JSON")
+(* Only an explicit path is written: a default would let a quick
+   scaled-down run overwrite a checked-in full-scale BENCH file. *)
+let json_path = Sys.getenv_opt "CTS_BENCH_JSON"
 
 (* PR-2 baselines (BENCH_PR2.json, this machine): the perf targets PR 3's
    zero-allocation work was measured against. *)
@@ -114,23 +116,29 @@ let baseline_pr8_obs_disabled_events_per_sec = 4_564_674.
 let baseline_pr8_jobs1_schedules_per_sec = 11_886.7
 
 let emit_json () =
-  let oc = open_out json_path in
-  output_string oc "{\n";
-  let fields =
-    [
-      ("scale", Printf.sprintf "%g" scale);
-      ("cores_available", string_of_int (Domain.recommended_domain_count ()));
-    ]
-    @ List.rev !json_fields
-  in
-  List.iteri
-    (fun i (name, fragment) ->
-      Printf.fprintf oc "  %S: %s%s\n" name fragment
-        (if i = List.length fields - 1 then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
-  Format.fprintf ppf "@.benchmark trajectory written to %s@." json_path
+  match json_path with
+  | None ->
+      Format.fprintf ppf
+        "@.benchmark trajectory not written (set CTS_BENCH_JSON to a path)@."
+  | Some json_path ->
+      let oc = open_out json_path in
+      output_string oc "{\n";
+      let fields =
+        [
+          ("scale", Printf.sprintf "%g" scale);
+          ( "cores_available",
+            string_of_int (Domain.recommended_domain_count ()) );
+        ]
+        @ List.rev !json_fields
+      in
+      List.iteri
+        (fun i (name, fragment) ->
+          Printf.fprintf oc "  %S: %s%s\n" name fragment
+            (if i = List.length fields - 1 then "" else ","))
+        fields;
+      output_string oc "}\n";
+      close_out oc;
+      Format.fprintf ppf "@.benchmark trajectory written to %s@." json_path
 
 (* ------------------------------------------------------------------ *)
 

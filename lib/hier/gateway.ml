@@ -52,6 +52,8 @@ type t = {
   mutable round : int; (* highest bridge round seen or opened *)
   mutable offer_round : int; (* round I am currently collecting for *)
   mutable offers : Time.t; (* max-combined offers for [offer_round] *)
+  mutable offered_round : int; (* round of the last Poll I answered *)
+  mutable offered : Time.t; (* the time my Offer for [offered_round] carried *)
   mutable s_elections : int;
   mutable s_agreed : int;
   mutable s_corrections : int;
@@ -153,13 +155,18 @@ let apply_agree t ~round ~time =
 
 let broadcast t msg = Netsim.Network.broadcast t.bridge ~src:t.me msg
 
+(* A round closes only while its opener still coordinates: a lower
+   shard heard from during the offer window (a healed partition) has
+   taken over, and the offers collected here may miss its value. *)
 let close_round t gen round () =
   if (not t.crashed) && t.active && gen = t.gen && t.offer_round = round
   then begin
-    let time = Time.max t.offers (offer_time t) in
     t.offer_round <- -1;
-    broadcast t (Bridge_msg.Agree { round; coord_shard = t.my_shard; time });
-    apply_agree t ~round ~time
+    if i_coordinate t then begin
+      let time = Time.max t.offers (offer_time t) in
+      broadcast t (Bridge_msg.Agree { round; coord_shard = t.my_shard; time });
+      apply_agree t ~round ~time
+    end
   end
 
 let open_round t =
@@ -233,7 +240,7 @@ and on_bridge_inner t ~src msg =
     if r > t.round then t.round <- r;
     match msg with
     | Bridge_msg.Poll { round; coord_shard } ->
-        if coord_shard <> t.my_shard then
+        if coord_shard <> t.my_shard then begin
           (* The offer answers the poll, and only the poller consumes it —
              reply to the polling gateway instead of broadcasting, or the
              bridge costs O(shards^2) deliveries per round.  Non-
@@ -241,12 +248,23 @@ and on_bridge_inner t ~src msg =
              still hear (the coordinator's polls and agrees); after a
              coordinator death each shard may transiently poll, and the
              competing polls re-seed everyone's liveness the same round. *)
+          let time = offer_time t in
+          t.offered_round <- round;
+          t.offered <- time;
           Netsim.Network.send t.bridge ~src:t.me ~dst:src
-            (Bridge_msg.Offer { round; shard = t.my_shard; time = offer_time t })
+            (Bridge_msg.Offer { round; shard = t.my_shard; time })
+        end
     | Bridge_msg.Offer { round; time; _ } ->
         if t.offer_round = round then t.offers <- Time.max t.offers time
     | Bridge_msg.Agree { round; time; coord_shard } ->
-        if legit && coord_shard <> t.my_shard then apply_agree t ~round ~time
+        (* An agreement below what I offered for its round was closed
+           without my offer (a shard that healed back in and still had a
+           stale round open): applying it could regress the global clock. *)
+        let misses_my_offer =
+          round = t.offered_round && Time.(time < t.offered)
+        in
+        if legit && coord_shard <> t.my_shard && not misses_my_offer then
+          apply_agree t ~round ~time
     | Bridge_msg.Collect { round; origin_shard; dst_shard; acc; _ } ->
         if dst_shard = t.my_shard then
           let acc = Time.max acc (offer_time t) in
@@ -343,6 +361,8 @@ let create eng bridge ~topology ~shard ~me ~service ~clock
     round = 0;
     offer_round = -1;
     offers = Time.epoch;
+    offered_round = -1;
+    offered = Time.epoch;
     s_elections = 0;
     s_agreed = 0;
     s_corrections = 0;

@@ -158,15 +158,28 @@ let live_members t s =
     (fun id -> not t.replicas.(Nid.to_int id).crashed)
     (Hier.Topology.shard_members t.topo s)
 
+(* Every live member operational on one ring whose members are exactly the
+   live set.  A ring id names one commit and a commit carries one member
+   list, sorted like [live_members], so comparing ids plus one list is
+   comparing every member's list. *)
 let ring_formed t s =
-  let expect = List.sort Nid.compare (live_members t s) in
-  expect = []
-  || List.for_all
-       (fun id ->
-         let tot = Gcs.Endpoint.totem t.replicas.(Nid.to_int id).endpoint in
-         Totem.Node.is_operational tot
-         && List.sort Nid.compare (Totem.Node.members tot) = expect)
-       expect
+  let totem id = Gcs.Endpoint.totem t.replicas.(Nid.to_int id).endpoint in
+  let on ring id =
+    let tot = totem id in
+    Totem.Node.is_operational tot
+    &&
+    match Totem.Node.ring tot with
+    | Some r -> Totem.Ring_id.equal r ring
+    | None -> false
+  in
+  match live_members t s with
+  | [] -> true
+  | first :: _ as expect -> (
+      match Totem.Node.ring (totem first) with
+      | None -> false
+      | Some ring ->
+          List.equal Nid.equal (Totem.Node.members (totem first)) expect
+          && List.for_all (on ring) expect)
 
 let shard_formed t s =
   let expect = live_members t s in

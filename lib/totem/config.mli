@@ -27,7 +27,8 @@ type t = {
   token_retransmit : Dsim.Time.Span.t;
       (** retransmit a forwarded token if it has not come back *)
   join_retransmit : Dsim.Time.Span.t;
-      (** re-flood Join while gathering *)
+      (** join tick: re-send Join while gathering, announcing any set
+          growth heard since the last send *)
   consensus_timeout : Dsim.Time.Span.t;
       (** give up on silent candidates after this long in gather *)
   commit_timeout : Dsim.Time.Span.t;

@@ -24,10 +24,24 @@ type stats = {
   delivered : int;
 }
 
+(* A join as stored by the gather: the message plus the cardinalities
+   [maybe_consensus] compares, computed once on receipt. *)
+type stored_join = {
+  join : Wire.join;
+  proc_n : int; (* |join.proc_set| *)
+  fail_n : int; (* |join.fail_set|, or -1 when it names this node *)
+}
+
 type gather_state = {
   mutable proc_set : Set.t;
   mutable fail_set : Set.t;
-  joins : (Nid.t, Wire.join) Hashtbl.t;
+  joins : (Nid.t, stored_join) Hashtbl.t;
+      (* Invariant within one gather attempt: every stored join [j] has
+         [j.proc_set ⊆ proc_set] and [j.fail_set \ {me} ⊆ fail_set] —
+         [on_join] unions each join in right after storing it, this node's
+         own join is a snapshot of the two sets, and both sets only grow.
+         So a join agrees with ours iff the cardinalities match and it
+         does not fail this node. *)
   mutable round : int; (* bumped on each Gather -> Wait_commit transition *)
 }
 
@@ -225,9 +239,20 @@ let make_join t (g : gather_state) : Wire.join =
     max_gen = t.max_gen;
   }
 
+let store_join t g (j : Wire.join) =
+  Hashtbl.replace g.joins j.j_sender
+    {
+      join = j;
+      proc_n = Set.cardinal j.proc_set;
+      fail_n =
+        (if Set.mem t.me j.fail_set then -1 else Set.cardinal j.fail_set);
+    }
+
+(* This node's own entry in [g.joins] changes only here, so it can never
+   reach consensus on sets it has not announced. *)
 let send_join t g =
   let j = make_join t g in
-  Hashtbl.replace g.joins t.me j;
+  store_join t g j;
   bcast t (Wire.Join j)
 
 let rec enter_gather t ~candidates ~prefail =
@@ -258,6 +283,12 @@ let rec enter_gather t ~candidates ~prefail =
   arm_consensus_deadline t g;
   maybe_consensus t g
 
+(* The tick re-sends this node's join every [join_retransmit], and it is
+   also how set growth gets announced: [on_join] merges what it hears but
+   does not answer, which keeps a ring of k at a few joins per member
+   where answering every growth cost k^2 (k-1) deliveries.  Having just
+   announced, a gathering node checks consensus — its own entry was the
+   only one that changed. *)
 and join_tick t g =
   after t t.cfg.join_retransmit (fun () ->
       match t.state with
@@ -270,7 +301,8 @@ and join_tick t g =
                  gather attempt, not a structurally identical later one"]
           then begin
             send_join t g;
-            join_tick t g
+            join_tick t g;
+            match t.state with Gather _ -> maybe_consensus t g | _ -> ()
           end
       | _ -> ())
 
@@ -297,10 +329,11 @@ and arm_consensus_deadline t g =
 
 and maybe_consensus t g =
   let live = Set.diff g.proc_set g.fail_set in
+  (* Set equality by cardinality: see the invariant on [gather_state]. *)
+  let proc_n = Set.cardinal g.proc_set and fail_n = Set.cardinal g.fail_set in
   let agree p =
     match Hashtbl.find_opt g.joins p with
-    | Some (j : Wire.join) ->
-        Set.equal j.proc_set g.proc_set && Set.equal j.fail_set g.fail_set
+    | Some e -> e.proc_n = proc_n && e.fail_n = fail_n
     | None -> false
   in
   if Set.mem t.me live && Set.for_all agree live then
@@ -310,7 +343,7 @@ and maybe_consensus t g =
         Set.fold
           (fun p acc ->
             match Hashtbl.find_opt g.joins p with
-            | Some j -> max acc j.max_gen
+            | Some e -> max acc e.join.max_gen
             | None -> acc)
           live t.max_gen
       in
@@ -318,7 +351,7 @@ and maybe_consensus t g =
       (* [Set.elements] is already ascending in [Nid.compare] order *)
       let members_sorted = Set.elements live in
       let member_old =
-        List.map (fun p -> (p, (Hashtbl.find g.joins p).Wire.j_old)) members_sorted
+        List.map (fun p -> (p, (Hashtbl.find g.joins p).join.j_old)) members_sorted
       in
       let recover =
         let per_ring = Hashtbl.create 4 in
@@ -821,17 +854,24 @@ and on_join t (j : Wire.join) =
   match t.state with
   | Crashed | Idle -> ()
   | Gather g | Wait_commit g ->
-      Hashtbl.replace g.joins j.j_sender j;
-      let proc' = Set.union g.proc_set j.proc_set in
-      let fail' = Set.union g.fail_set (Set.remove t.me j.fail_set) in
-      if (not (Set.equal proc' g.proc_set)) || not (Set.equal fail' g.fail_set)
-      then begin
-        g.proc_set <- proc';
-        g.fail_set <- fail';
-        (match t.state with
+      store_join t g j;
+      (* Test for growth before unioning: most joins of a formation bring
+         nothing new, and a subset test allocates no set.  Growth is
+         announced by the next [join_tick], not here. *)
+      let new_proc = not (Set.subset j.proc_set g.proc_set) in
+      let new_fail =
+        not
+          (Set.for_all
+             (fun p -> Nid.equal p t.me || Set.mem p g.fail_set)
+             j.fail_set)
+      in
+      if new_proc || new_fail then begin
+        if new_proc then g.proc_set <- Set.union g.proc_set j.proc_set;
+        if new_fail then
+          g.fail_set <- Set.union g.fail_set (Set.remove t.me j.fail_set);
+        match t.state with
         | Wait_commit _ -> t.state <- Gather g
-        | _ -> ());
-        send_join t g
+        | _ -> ()
       end;
       maybe_consensus t g
   | Recover _ ->

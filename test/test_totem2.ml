@@ -273,6 +273,36 @@ let test_ring_id_ordering () =
   check bool "equal" true (Totem.Ring_id.equal a a);
   check bool "distinct" false (Totem.Ring_id.equal a b)
 
+(* The gather is linear in messages: a node announces set growth on its
+   next join tick instead of re-flooding on every growth, so forming a
+   ring of k costs a few broadcasts per member, each to k-1 peers —
+   measured as [m-join] deliveries per shard while hierarchical clusters
+   form.  Re-flooding on every growth costs k^2 (k-1) per shard. *)
+let test_join_storm_is_linear () =
+  List.iter
+    (fun (shards, k) ->
+      let sink = Obs.Sink.create () and attrib = Obs.Attrib.create () in
+      Obs.Sink.set_attrib sink (Some attrib);
+      let t =
+        Scenario.Cluster_hier.create ~seed:1L ~obs:sink ~shards ~shard_size:k ()
+      in
+      Scenario.Cluster_hier.start_all t;
+      let joins =
+        List.fold_left
+          (fun acc (r : Obs.Attrib.row) ->
+            if r.sub = Obs.Subsystem.Totem && String.equal r.probe "m-join"
+            then acc + r.calls
+            else acc)
+          0 (Obs.Attrib.report attrib)
+      in
+      let per_shard = joins / shards and bound = 4 * k * (k - 1) in
+      check bool
+        (Printf.sprintf "%dx%d: %d m-join calls per shard <= %d" shards k
+           per_shard bound)
+        true
+        (joins > 0 && per_shard <= bound))
+    [ (2, 32); (4, 16) ]
+
 let prop_large_ring_total_order =
   QCheck.Test.make ~count:10 ~name:"total order holds for rings of 2..8"
     QCheck.(pair (int_range 2 8) (int_range 1 500))
@@ -311,6 +341,8 @@ let suites =
           test_safe_delivery_total_order;
         Alcotest.test_case "wire pp" `Quick test_wire_pp_smoke;
         Alcotest.test_case "ring id order" `Quick test_ring_id_ordering;
+        Alcotest.test_case "join storm is linear" `Quick
+          test_join_storm_is_linear;
         QCheck_alcotest.to_alcotest prop_large_ring_total_order;
       ] );
   ]
