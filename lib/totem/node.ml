@@ -1,6 +1,4 @@
 module Nid = Netsim.Node_id
-module Set = Netsim.Node_id.Set
-module IntSet = Stdlib.Set.Make (Int)
 
 let src = Logs.Src.create "totem" ~doc:"Totem single-ring protocol"
 
@@ -24,37 +22,47 @@ type stats = {
   delivered : int;
 }
 
-(* A join as stored by the gather: the message plus the cardinalities
-   [maybe_consensus] compares, computed once on receipt. *)
-type stored_join = {
-  join : Wire.join;
-  proc_n : int; (* |join.proc_set| *)
-  fail_n : int; (* |join.fail_set|, or -1 when it names this node *)
+type gather_state = {
+  proc_set : Nodeset.t;
+  fail_set : Nodeset.t;
+      (* Both grow in place and only grow within one gather attempt. *)
+  joins : Wire.join Nodeset.Table.t; (* latest join from each sender *)
+  agree : Nodeset.t;
+      (* Senders whose stored join advertises the same sets as ours.
+         Invariant within one gather attempt: every stored join [j] has
+         [j.proc_set ⊆ proc_set] and [j.fail_set \ {me} ⊆ fail_set] —
+         [on_join] unions each join in before storing it, this node's own
+         join is a snapshot of the two sets, and both sets only grow.  So
+         a join agrees iff both cardinalities match and it does not fail
+         this node, which [store_join] tests once on receipt.  And when
+         the sets grow, every join stored before is left a strict subset:
+         growth clears [agree], so nothing is ever recounted. *)
+  mutable round : int; (* bumped on each Gather -> Wait_commit transition *)
 }
 
-type gather_state = {
-  mutable proc_set : Set.t;
-  mutable fail_set : Set.t;
-  joins : (Nid.t, stored_join) Hashtbl.t;
-      (* Invariant within one gather attempt: every stored join [j] has
-         [j.proc_set ⊆ proc_set] and [j.fail_set \ {me} ⊆ fail_set] —
-         [on_join] unions each join in right after storing it, this node's
-         own join is a snapshot of the two sets, and both sets only grow.
-         So a join agrees with ours iff the cardinalities match and it
-         does not fail this node. *)
-  mutable round : int; (* bumped on each Gather -> Wait_commit transition *)
+(* One old ring this node recovers.  The union of the offered held lists
+   is kept as per-seq counts, updated as offers arrive or are replaced and
+   as messages arrive, so the done test reads two fields. *)
+type ring_recovery = {
+  old : Ring_id.t;
+  lo : int;
+  hi : int; (* the commit's recovery range for [old] *)
+  peers : Nodeset.t; (* members of [old] in the commit *)
+  held : int list Nodeset.Table.t; (* latest offer for [old] per sender *)
+  mutable unoffered : int; (* peers whose offer has not arrived *)
+  held_by : int array;
+      (* [held_by.(s - lo)]: stored offers for [old] that hold seq [s] *)
+  mutable missing : int;
+      (* seqs of the union this node's store lacks *)
 }
 
 type recovery_state = {
   commit : Wire.commit;
-  my_rings : (Ring_id.t * (int * int)) list;
-      (* the old rings this node must recover, with their ranges —
-         computed once from the commit instead of re-derived (assoc +
-         filter over [member_old]) on every offer/request/done *)
-  ring_peers : (Ring_id.t * Nid.t list) list;
-      (* members of each of [my_rings]'s old rings, same memoization *)
-  offers : (Nid.t, (Ring_id.t * int list) list) Hashtbl.t;
-  mutable done_from : Set.t;
+  members : Nodeset.t; (* [commit.members] *)
+  my_rings : ring_recovery list;
+      (* the old rings this node must recover — computed once from the
+         commit instead of re-derived on every offer/request/done *)
+  done_from : Nodeset.t;
   mutable my_done_sent : bool;
   mutable stashed_token : Wire.token option;
 }
@@ -233,20 +241,22 @@ let drain_deliveries ?upto t =
 let make_join t (g : gather_state) : Wire.join =
   {
     j_sender = t.me;
-    proc_set = g.proc_set;
-    fail_set = g.fail_set;
+    proc_set = Nodeset.snapshot g.proc_set;
+    fail_set = Nodeset.snapshot g.fail_set;
     j_old = my_old_ring_info t;
     max_gen = t.max_gen;
   }
 
+(* Only after [j]'s sets are unioned in: see the invariant on
+   [gather_state]. *)
 let store_join t g (j : Wire.join) =
-  Hashtbl.replace g.joins j.j_sender
-    {
-      join = j;
-      proc_n = Set.cardinal j.proc_set;
-      fail_n =
-        (if Set.mem t.me j.fail_set then -1 else Set.cardinal j.fail_set);
-    }
+  Nodeset.Table.set g.joins j.j_sender j;
+  if
+    Nodeset.cardinal j.proc_set = Nodeset.cardinal g.proc_set
+    && (not (Nodeset.mem j.fail_set t.me))
+    && Nodeset.cardinal j.fail_set = Nodeset.cardinal g.fail_set
+  then Nodeset.add g.agree j.j_sender
+  else Nodeset.remove g.agree j.j_sender
 
 (* This node's own entry in [g.joins] changes only here, so it can never
    reach consensus on sets it has not announced. *)
@@ -255,14 +265,20 @@ let send_join t g =
   store_join t g j;
   bcast t (Wire.Join j)
 
+(* [candidates] and [prefail] are fresh sets; they become the attempt's
+   [proc_set] and [fail_set]. *)
 let rec enter_gather t ~candidates ~prefail =
   t.epoch <- t.epoch + 1;
   let was_operational = is_operational t in
+  Nodeset.add candidates t.me;
+  List.iter (Nodeset.add candidates) t.members;
+  Nodeset.remove prefail t.me;
   let g =
     {
-      proc_set = Set.add t.me (Set.union candidates (Set.of_list t.members));
-      fail_set = Set.remove t.me prefail;
-      joins = Hashtbl.create 8;
+      proc_set = candidates;
+      fail_set = prefail;
+      joins = Nodeset.Table.create ();
+      agree = Nodeset.create ();
       round = 0;
     }
   in
@@ -272,12 +288,12 @@ let rec enter_gather t ~candidates ~prefail =
      Obs.Sink.emit s ~kind:Obs.Recorder.k_gather
        ~ts_us:(Dsim.Time.to_ns (Dsim.Engine.now t.eng) / 1000)
        ~node:(Nid.to_int t.me)
-       ~a:(Set.cardinal g.proc_set)
+       ~a:(Nodeset.cardinal g.proc_set)
        ~b:0);
   if was_operational then t.handler Blocked;
   Log.debug (fun m ->
       m "%a: enter gather (candidates=%d)" Nid.pp t.me
-        (Set.cardinal g.proc_set));
+        (Nodeset.cardinal g.proc_set));
   send_join t g;
   join_tick t g;
   arm_consensus_deadline t g;
@@ -314,13 +330,18 @@ and arm_consensus_deadline t g =
              [@ctslint.allow
                "phys-equality"
                  "generation check: timer validity is attempt identity"] ->
-          let live = Set.diff g.proc_set g.fail_set in
-          let silent = Set.filter (fun p -> not (Hashtbl.mem g.joins p)) live in
-          if not (Set.is_empty silent) then begin
+          let silent = Nodeset.create () in
+          Nodeset.iter
+            (fun p ->
+              if not (Nodeset.Table.mem g.joins p) then Nodeset.add silent p)
+            (Nodeset.diff g.proc_set g.fail_set);
+          if not (Nodeset.is_empty silent) then begin
             Log.debug (fun m ->
                 m "%a: consensus timeout, failing %d silent candidates" Nid.pp
-                  t.me (Set.cardinal silent));
-            g.fail_set <- Set.union g.fail_set (Set.remove t.me silent);
+                  t.me (Nodeset.cardinal silent));
+            Nodeset.union_into g.fail_set silent;
+            Nodeset.remove g.fail_set t.me;
+            Nodeset.clear g.agree;
             send_join t g;
             maybe_consensus t g
           end;
@@ -328,30 +349,27 @@ and arm_consensus_deadline t g =
       | _ -> ())
 
 and maybe_consensus t g =
-  let live = Set.diff g.proc_set g.fail_set in
-  (* Set equality by cardinality: see the invariant on [gather_state]. *)
-  let proc_n = Set.cardinal g.proc_set and fail_n = Set.cardinal g.fail_set in
-  let agree p =
-    match Hashtbl.find_opt g.joins p with
-    | Some e -> e.proc_n = proc_n && e.fail_n = fail_n
-    | None -> false
-  in
-  if Set.mem t.me live && Set.for_all agree live then
-    if Nid.equal (Set.min_elt live) t.me then begin
+  (* Agreement is a word-wise test: see the invariant on [gather_state]. *)
+  if
+    Nodeset.mem g.proc_set t.me
+    && (not (Nodeset.mem g.fail_set t.me))
+    && Nodeset.diff_subset g.proc_set g.fail_set g.agree
+  then
+    let live = Nodeset.diff g.proc_set g.fail_set in
+    if Nid.equal (Nodeset.min_elt live) t.me then begin
       (* This node is the representative: form and announce the new ring. *)
       let gens =
-        Set.fold
-          (fun p acc ->
-            match Hashtbl.find_opt g.joins p with
-            | Some e -> max acc e.join.max_gen
-            | None -> acc)
+        Nodeset.fold
+          (fun p acc -> max acc (Nodeset.Table.find g.joins p).max_gen)
           live t.max_gen
       in
       let new_ring = Ring_id.make ~rep:t.me ~gen:(gens + 1) in
-      (* [Set.elements] is already ascending in [Nid.compare] order *)
-      let members_sorted = Set.elements live in
+      (* [Nodeset.elements] is ascending in [Nid.compare] order *)
+      let members_sorted = Nodeset.elements live in
       let member_old =
-        List.map (fun p -> (p, (Hashtbl.find g.joins p).join.j_old)) members_sorted
+        List.map
+          (fun p -> (p, (Nodeset.Table.find g.joins p).j_old))
+          members_sorted
       in
       let recover =
         let per_ring = Hashtbl.create 4 in
@@ -391,12 +409,13 @@ and maybe_consensus t g =
                    "phys-equality"
                      "generation check: timer validity is attempt identity"])
                  && g.round = round ->
-              let live = Set.diff g.proc_set g.fail_set in
-              let leader = Set.min_elt live in
+              let live = Nodeset.diff g.proc_set g.fail_set in
+              let leader = Nodeset.min_elt live in
               Log.debug (fun m ->
                   m "%a: commit timeout, failing leader %a" Nid.pp t.me Nid.pp
                     leader);
-              enter_gather t ~candidates:live ~prefail:(Set.singleton leader)
+              enter_gather t ~candidates:live
+                ~prefail:(Nodeset.singleton leader)
           | _ -> ())
     end
 
@@ -421,72 +440,67 @@ and ring_members_of (c : Wire.commit) r =
 
 and send_offers t (rs : recovery_state) =
   let c = rs.commit in
-  let mine =
-    List.map
-      (fun (r, (lo, hi)) ->
-        let s = store_for t r in
-        (r, Store.held_in s ~lo ~hi))
-      rs.my_rings
-  in
-  Hashtbl.replace rs.offers t.me mine;
   List.iter
-    (fun (r, held) ->
+    (fun rr ->
+      let held = Store.held_in (store_for t rr.old) ~lo:rr.lo ~hi:rr.hi in
+      record_offer t rr t.me held;
       bcast t
         (Wire.Recovery_offer
-           { o_sender = t.me; new_ring = c.new_ring; o_ring = r; held }))
-    mine
+           { o_sender = t.me; new_ring = c.new_ring; o_ring = rr.old; held }))
+    rs.my_rings
 
-and union_held (rs : recovery_state) r =
-  (* Set union is commutative, but folding in sorted node order anyway
-     keeps the site inside the determinism contract for free. *)
-  Dsim.Det.fold_sorted ~compare:Nid.compare
-    (fun _ offer acc ->
-      match List.assoc_opt r offer with
-      | Some held -> List.fold_left (fun a s -> IntSet.add s a) acc held
-      | None -> acc)
-    rs.offers IntSet.empty
+(* Store [sender]'s offer, replacing its previous one, and move the union
+   counts: a seq enters the union when its count leaves 0 and leaves it
+   when the count returns to 0, and only a seq this node lacks changes
+   [missing].  Counting the new list before uncounting the old keeps a
+   seq held by both inside the union throughout. *)
+and record_offer t rr sender held =
+  let s = store_for t rr.old in
+  let count d seq =
+    if seq >= rr.lo && seq <= rr.hi then begin
+      let n = rr.held_by.(seq - rr.lo) in
+      rr.held_by.(seq - rr.lo) <- n + d;
+      if (n = 0 || n + d = 0) && not (Store.has s seq) then
+        rr.missing <- rr.missing + d
+    end
+  in
+  List.iter (count 1) held;
+  (match Nodeset.Table.find rr.held sender with
+  | prev -> List.iter (count (-1)) prev
+  | exception Not_found ->
+      if Nodeset.mem rr.peers sender then rr.unoffered <- rr.unoffered - 1);
+  Nodeset.Table.set rr.held sender held
 
 and request_missing t (rs : recovery_state) =
   let c = rs.commit in
   List.iter
-    (fun (r, (lo, hi)) ->
-      let s = store_for t r in
-      let u = union_held rs r in
-      let wanted =
-        IntSet.elements
-          (IntSet.filter
-             (fun seq -> seq >= lo && seq <= hi && not (Store.has s seq))
-             u)
-      in
-      if wanted <> [] then
+    (fun rr ->
+      if rr.missing > 0 then begin
+        let s = store_for t rr.old in
+        let wanted = ref [] in
+        for seq = rr.hi downto rr.lo do
+          if rr.held_by.(seq - rr.lo) > 0 && not (Store.has s seq) then
+            wanted := seq :: !wanted
+        done;
         bcast t
           (Wire.Recovery_request
-             { r_sender = t.me; new_ring = c.new_ring; r_ring = r; wanted }))
+             {
+               r_sender = t.me;
+               new_ring = c.new_ring;
+               r_ring = rr.old;
+               wanted = !wanted;
+             })
+      end)
     rs.my_rings
 
 and check_my_done t (rs : recovery_state) =
   let c = rs.commit in
   let ready =
-    List.for_all
-      (fun (r, (lo, hi)) ->
-        let peers =
-          match List.assoc_opt r rs.ring_peers with Some ps -> ps | None -> []
-        in
-        let have_offer p =
-          match Hashtbl.find_opt rs.offers p with
-          | Some offer -> List.mem_assoc r offer
-          | None -> false
-        in
-        List.for_all have_offer peers
-        &&
-        let s = store_for t r in
-        let u = union_held rs r in
-        IntSet.for_all (fun seq -> seq < lo || seq > hi || Store.has s seq) u)
-      rs.my_rings
+    List.for_all (fun rr -> rr.unoffered = 0 && rr.missing = 0) rs.my_rings
   in
   if ready && not rs.my_done_sent then begin
     rs.my_done_sent <- true;
-    rs.done_from <- Set.add t.me rs.done_from;
+    Nodeset.add rs.done_from t.me;
     bcast t
       (Wire.Recovery_done { d_sender = t.me; new_ring = c.new_ring; nudge = false })
   end;
@@ -494,7 +508,7 @@ and check_my_done t (rs : recovery_state) =
 
 and maybe_finish_recovery t (rs : recovery_state) =
   let c = rs.commit in
-  if rs.my_done_sent && Set.subset (Set.of_list c.members) rs.done_from then begin
+  if rs.my_done_sent && Nodeset.subset rs.members rs.done_from then begin
     (* Deliver the old ring's leftovers in sequence order, skipping gaps no
        surviving member can fill, then announce the new view.  Even when
        there was nothing to exchange (every member already held the same
@@ -570,14 +584,28 @@ and install_ring t (c : Wire.commit) =
   t.prev_visit_aru <- 0;
   t.last_visit_count <- 0;
   ignore (store_for t c.new_ring : 'a Store.t);
-  let my_rings = my_recovery_rings t c in
+  let my_rings =
+    List.map
+      (fun (r, (lo, hi)) ->
+        let peers = Nodeset.of_list (ring_members_of c r) in
+        {
+          old = r;
+          lo;
+          hi;
+          peers;
+          held = Nodeset.Table.create ();
+          unoffered = Nodeset.cardinal peers;
+          held_by = Array.make (hi - lo + 1) 0;
+          missing = 0;
+        })
+      (my_recovery_rings t c)
+  in
   let rs =
     {
       commit = c;
+      members = Nodeset.of_list c.members;
       my_rings;
-      ring_peers = List.map (fun (r, _) -> (r, ring_members_of c r)) my_rings;
-      offers = Hashtbl.create 8;
-      done_from = Set.empty;
+      done_from = Nodeset.create ();
       my_done_sent = false;
       stashed_token = None;
     }
@@ -593,7 +621,9 @@ and install_ring t (c : Wire.commit) =
                "phys-equality"
                  "generation check: timer validity is attempt identity"] ->
           Log.debug (fun m -> m "%a: recovery timeout" Nid.pp t.me);
-          enter_gather t ~candidates:(Set.of_list c.members) ~prefail:Set.empty
+          enter_gather t
+            ~candidates:(Nodeset.of_list c.members)
+            ~prefail:(Nodeset.create ())
       | _ -> ());
   check_my_done t rs
 
@@ -653,8 +683,9 @@ and watchdog_step t ep =
             if Dsim.Time.(Dsim.Engine.now t.eng >= t.token_deadline) then begin
               if t.watchdog_ep = ep then t.watchdog_ep <- -1;
               Log.debug (fun m -> m "%a: token loss" Nid.pp t.me);
-              enter_gather t ~candidates:(Set.of_list t.members)
-                ~prefail:Set.empty
+              enter_gather t
+                ~candidates:(Nodeset.of_list t.members)
+                ~prefail:(Nodeset.create ())
             end
             else
               (* tokens arrived since this check was scheduled: the
@@ -837,7 +868,9 @@ and on_regular t (msg : 'a Wire.regular) =
   (if (not relevant) && is_operational t then
      let foreign = not (List.exists (Nid.equal msg.sender) t.members) in
      if foreign then
-       enter_gather t ~candidates:(Set.singleton msg.sender) ~prefail:Set.empty);
+       enter_gather t
+         ~candidates:(Nodeset.singleton msg.sender)
+         ~prefail:(Nodeset.create ()));
   if relevant then begin
     let s = store_for t msg.ring in
     let fresh = Store.add s msg in
@@ -845,7 +878,17 @@ and on_regular t (msg : 'a Wire.regular) =
        as in Totem): receiving a regular message only stores it. *)
     if fresh then
       match t.state with
-      | Recover rs -> check_my_done t rs
+      | Recover rs ->
+          (* A seq of the offered union that was missing is now held. *)
+          List.iter
+            (fun rr ->
+              if
+                Ring_id.equal rr.old msg.ring
+                && msg.seq >= rr.lo && msg.seq <= rr.hi
+                && rr.held_by.(msg.seq - rr.lo) > 0
+              then rr.missing <- rr.missing - 1)
+            rs.my_rings;
+          check_my_done t rs
       | _ -> ()
   end
 
@@ -854,25 +897,23 @@ and on_join t (j : Wire.join) =
   match t.state with
   | Crashed | Idle -> ()
   | Gather g | Wait_commit g ->
-      store_join t g j;
-      (* Test for growth before unioning: most joins of a formation bring
-         nothing new, and a subset test allocates no set.  Growth is
-         announced by the next [join_tick], not here. *)
-      let new_proc = not (Set.subset j.proc_set g.proc_set) in
-      let new_fail =
-        not
-          (Set.for_all
-             (fun p -> Nid.equal p t.me || Set.mem p g.fail_set)
-             j.fail_set)
-      in
+      (* Most joins of a formation bring nothing new: two word-wise subset
+         tests and no union.  Growth is announced by the next [join_tick],
+         not here. *)
+      let new_proc = not (Nodeset.subset j.proc_set g.proc_set) in
+      let new_fail = not (Nodeset.subset_except t.me j.fail_set g.fail_set) in
       if new_proc || new_fail then begin
-        if new_proc then g.proc_set <- Set.union g.proc_set j.proc_set;
-        if new_fail then
-          g.fail_set <- Set.union g.fail_set (Set.remove t.me j.fail_set);
+        if new_proc then Nodeset.union_into g.proc_set j.proc_set;
+        if new_fail then begin
+          Nodeset.union_into g.fail_set j.fail_set;
+          Nodeset.remove g.fail_set t.me
+        end;
+        Nodeset.clear g.agree;
         match t.state with
         | Wait_commit _ -> t.state <- Gather g
         | _ -> ()
       end;
+      store_join t g j;
       maybe_consensus t g
   | Recover _ ->
       (* Finish the recovery in progress first; the joiner keeps
@@ -884,9 +925,9 @@ and on_join t (j : Wire.join) =
       let my_gen = match t.ring with Some r -> r.gen | None -> 0 in
       let is_member = List.exists (Nid.equal j.j_sender) t.members in
       if (not is_member) || j.max_gen >= my_gen then
-        enter_gather t
-          ~candidates:(Set.add j.j_sender j.proc_set)
-          ~prefail:Set.empty
+        let candidates = Nodeset.copy j.proc_set in
+        Nodeset.add candidates j.j_sender;
+        enter_gather t ~candidates ~prefail:(Nodeset.create ())
 
 and on_commit t (c : Wire.commit) =
   if List.exists (Nid.equal t.me) c.members then
@@ -902,11 +943,10 @@ and on_commit t (c : Wire.commit) =
 and on_offer t ~o_sender ~new_ring ~o_ring ~held =
   match t.state with
   | Recover rs when Ring_id.equal rs.commit.new_ring new_ring ->
-      let prev =
-        Option.value ~default:[] (Hashtbl.find_opt rs.offers o_sender)
-      in
-      let prev = List.remove_assoc o_ring prev in
-      Hashtbl.replace rs.offers o_sender ((o_ring, held) :: prev);
+      List.iter
+        (fun rr ->
+          if Ring_id.equal rr.old o_ring then record_offer t rr o_sender held)
+        rs.my_rings;
       check_my_done t rs
   | Operational -> resend_recovery_help t ~new_ring
   | _ -> ()
@@ -947,7 +987,7 @@ and resend_recovery_help t ~new_ring =
 and on_done t ~d_sender ~new_ring ~nudge =
   match t.state with
   | Recover rs when Ring_id.equal rs.commit.new_ring new_ring ->
-      rs.done_from <- Set.add d_sender rs.done_from;
+      Nodeset.add rs.done_from d_sender;
       maybe_finish_recovery t rs
   | Operational ->
       (* A genuine (non-nudge) done means its sender is still recovering on
@@ -961,7 +1001,9 @@ and on_presence t ~p_sender ~p_ring =
   | Operational, Some r when not (Ring_id.equal r p_ring) ->
       Log.debug (fun m ->
           m "%a: foreign presence from %a, merging" Nid.pp t.me Nid.pp p_sender);
-      enter_gather t ~candidates:(Set.singleton p_sender) ~prefail:Set.empty
+      enter_gather t
+        ~candidates:(Nodeset.singleton p_sender)
+        ~prefail:(Nodeset.create ())
   | _ -> ()
 
 (* Wall-time attribution: token visits, data receives and each kind of
@@ -1057,7 +1099,9 @@ let create eng net ~me ?(config = Config.default) ~handler () =
 
 let start t =
   match t.state with
-  | Idle -> enter_gather t ~candidates:Set.empty ~prefail:Set.empty
+  | Idle ->
+      enter_gather t ~candidates:(Nodeset.create ())
+        ~prefail:(Nodeset.create ())
   | _ -> invalid_arg "Totem.Node.start: already started"
 
 let multicast ?unless t payload =

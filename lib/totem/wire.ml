@@ -23,8 +23,8 @@ type old_ring_info = {
 
 type join = {
   j_sender : Netsim.Node_id.t;
-  proc_set : Netsim.Node_id.Set.t;
-  fail_set : Netsim.Node_id.Set.t;
+  proc_set : Nodeset.snap;
+  fail_set : Nodeset.snap;
   j_old : old_ring_info;
   max_gen : int;
 }
@@ -65,7 +65,7 @@ let pp_set ppf s =
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
        Netsim.Node_id.pp)
-    (Netsim.Node_id.Set.elements s)
+    (Nodeset.elements s)
 
 let pp ppf = function
   | Regular r ->
